@@ -82,10 +82,13 @@ race-serve:
 # Chaos gate: the fault-injection suite. The harness itself (schedule
 # determinism) and the daemon's degraded paths run under -race — fault
 # isolation is concurrency machinery — plus the focused fault-tolerance
-# tests in the sweep pool and the grid layer.
+# tests in the sweep pool (isolation, retry, cancellation: TestIsolated*,
+# Test*Retry*, TestRetries*) and the grid layer (error rows:
+# TestGridSweepTolerant*). A -run pattern that matches nothing passes
+# silently, so check it with `go test -list` after renaming those tests.
 chaos:
 	$(GO) test -race ./internal/faults/ ./internal/serve/
-	$(GO) test -race -run 'Isolated|Retry|Tolerant' ./internal/experiments/ ./internal/scenario/
+	$(GO) test -race -run 'Isolated|Retry|Retries|Tolerant' ./internal/experiments/ ./internal/scenario/
 
 # Daemon smoke gate: start spotserved's engine, submit a small grid over
 # HTTP, assert the streamed NDJSON rows fingerprint-match the equivalent

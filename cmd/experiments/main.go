@@ -27,6 +27,9 @@
 // cross (scenario.FullGrid): every registered model plus a 12-variant bid
 // ladder × every policy × every fleet × flat billing plus every market
 // process — 1020 cells, aggregated streamingly in O(active cells) memory.
+// Cells are fault-isolated: a failing cell renders as an n/a row with an
+// error footer instead of aborting the sweep, and once the table is printed
+// the command exits 1 if any cell failed.
 //
 // -exp calibrate (docs/CALIBRATION.md; never part of -exp all) replays the
 // scenario of an observed serving trace (-observed trace.json) and prints
@@ -72,6 +75,7 @@ func main() {
 		Seeds:    experiments.SeedRange(*seed, *seeds),
 	}
 
+	failed := false
 	run := func(name string, fn func()) {
 		if *exp != "all" && *exp != name {
 			return
@@ -132,6 +136,9 @@ func main() {
 			os.Exit(2)
 		}
 		fmt.Print(scenario.RenderGrid(rows))
+		for _, r := range rows {
+			failed = failed || r.Err != ""
+		}
 	})
 
 	// Calibration is an explicit mode, never part of -exp all: it needs an
@@ -161,6 +168,9 @@ func main() {
 	default:
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
 		os.Exit(2)
+	}
+	if failed {
+		os.Exit(1)
 	}
 }
 
@@ -210,14 +220,15 @@ func runCalibrate(cf calibrateFlags) {
 		fmt.Fprintf(os.Stderr, "calibrate: %v\n", err)
 		os.Exit(2)
 	}
-	rep, err := calibrate.Run(obs, calibrate.Options{Parallel: cf.parallel})
+	opts := calibrate.Options{Sweep: experiments.Sweep{Parallel: cf.parallel}}
+	rep, err := calibrate.Run(obs, opts)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "calibrate: %v\n", err)
 		os.Exit(2)
 	}
 	fmt.Print(rep.Render())
 	if cf.fit {
-		fr, err := calibrate.FitMarket(obs, calibrate.FitSpec{}, calibrate.Options{Parallel: cf.parallel})
+		fr, err := calibrate.FitMarket(obs, calibrate.FitSpec{}, opts)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "calibrate: fit: %v\n", err)
 			os.Exit(2)

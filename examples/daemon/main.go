@@ -3,8 +3,9 @@
 // loopback port, submits a small grid job over real HTTP, streams the NDJSON
 // rows as cells finish, and then checks the determinism contract the hard
 // way: every streamed fingerprint must match the equivalent CLI-path run
-// (scenario.GridSweep at the same seed), and a resubmitted identical job
-// must be served entirely from the cell cache. Any mismatch exits non-zero.
+// (scenario.GridSweepStream at the same seed), and a resubmitted identical
+// job must be served entirely from the cell cache. Any mismatch exits
+// non-zero.
 package main
 
 import (
@@ -82,7 +83,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	cliRows, err := scenario.GridSweep(grid, spec.Sweep())
+	cliRows, err := scenario.GridSweepStream(grid, spec.Sweep(), nil)
 	if err != nil {
 		return err
 	}

@@ -23,9 +23,9 @@ func main() {
 		Policies: scenario.Policies(), // fixed, reactive-queue, predictive
 		Fleets:   []string{"homog", "hetero-speed"},
 	}
-	rows, err := scenario.GridSweep(grid, experiments.Sweep{
+	rows, err := scenario.GridSweepStream(grid, experiments.Sweep{
 		Seeds: experiments.SeedRange(1, 3),
-	})
+	}, nil)
 	if err != nil {
 		panic(err)
 	}

@@ -51,12 +51,12 @@ func main() {
 
 	// Three policies on the identical market: the paper's fixed target,
 	// the SLO holder, and the budget cap.
-	rows, err := scenario.GridSweep(scenario.Grid{
+	rows, err := scenario.GridSweepStream(scenario.Grid{
 		Avail:    []string{"price-signal"},
 		Policies: []string{"fixed", "slo-latency", "cost-cap"},
 		Fleets:   []string{"homog"},
 		Seed:     seed,
-	}, experiments.Sweep{Seeds: []int64{seed}})
+	}, experiments.Sweep{Seeds: []int64{seed}}, nil)
 	if err != nil {
 		panic(err)
 	}

@@ -27,12 +27,11 @@ import (
 
 // Options configures one calibration run.
 type Options struct {
-	// Parallel is the sweep worker pool (<= 0 = all cores). Results are
-	// byte-identical at any setting.
-	Parallel int
-	// Cache, when non-nil, serves replicas the sweep has already simulated
-	// (the daemon threads its cell cache through here).
-	Cache experiments.ResultCache
+	// Sweep runs the replay: its worker pool, cache, context, retry policy
+	// and fault hook all apply (the daemon passes each job's sweep). The
+	// observed trace's ScenarioRef sets the replication seeds, overriding
+	// Sweep.Seeds. Results are byte-identical at any worker count.
+	Sweep experiments.Sweep
 	// Tolerances overrides per-metric tolerances, winning over both the
 	// defaults and the trace's own overrides.
 	Tolerances map[string]Tolerance
@@ -189,12 +188,11 @@ func Run(obs ObservedTrace, opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	sw := experiments.Sweep{
-		Parallel: opts.Parallel,
-		Seeds:    experiments.SeedRange(ref.Seed, ref.Seeds),
-		Cache:    opts.Cache,
+	reps, err := replay(opts.Sweep, ref, []experiments.Scenario{cell})
+	if err != nil {
+		return nil, err
 	}
-	rs := sw.RunCells([]experiments.Scenario{cell})[0]
+	rs := reps[0]
 	if opts.OnRow != nil {
 		opts.OnRow(scenario.BuildRow(rs, slo))
 	}
@@ -369,7 +367,35 @@ func ExportScenario(name string, ref ScenarioRef, parallel int) (ObservedTrace, 
 	if err != nil {
 		return ObservedTrace{}, err
 	}
-	sw := experiments.Sweep{Parallel: parallel, Seeds: experiments.SeedRange(ref.Seed, ref.Seeds)}
-	rs := sw.RunCells([]experiments.Scenario{cell})[0]
-	return Export(name, ref, rs, DefaultHorizon, slo), nil
+	reps, err := replay(experiments.Sweep{Parallel: parallel}, ref, []experiments.Scenario{cell})
+	if err != nil {
+		return ObservedTrace{}, err
+	}
+	return Export(name, ref, reps[0], DefaultHorizon, slo), nil
+}
+
+// replay runs the cells at the reference's seeds through the sweep pool and
+// returns each cell's replicas in seed order. A replica that fails — a
+// panic, an injected fault, or the sweep's context ending before it ran —
+// fails the whole replay with the lowest-index failure as the error: a
+// report over a partial seed set would silently change what it means.
+func replay(sw experiments.Sweep, ref ScenarioRef, cells []experiments.Scenario) ([][]experiments.Result, error) {
+	sw.Seeds = experiments.SeedRange(ref.Seed, ref.Seeds)
+	perCell := len(sw.Seeds)
+	out := make([][]experiments.Result, len(cells))
+	for i := range out {
+		out[i] = make([]experiments.Result, perCell)
+	}
+	failed := len(cells) * perCell
+	var failure error
+	sw.Run(cells, func(i int, cr experiments.CellResult, _ bool) {
+		out[i/perCell][i%perCell] = cr.Result
+		if cr.Err != nil && i < failed {
+			failed, failure = i, cr.Err
+		}
+	})
+	if failure != nil {
+		return nil, fmt.Errorf("calibrate: replay: %w", failure)
+	}
+	return out, nil
 }

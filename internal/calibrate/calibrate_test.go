@@ -1,7 +1,9 @@
 package calibrate
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -57,7 +59,7 @@ func TestReportDeterministicUnderParallel(t *testing.T) {
 	}
 	var renders, jsons []string
 	for _, parallel := range []int{1, 0, 4} {
-		rep, err := Run(obs, Options{Parallel: parallel})
+		rep, err := Run(obs, Options{Sweep: experiments.Sweep{Parallel: parallel}})
 		if err != nil {
 			t.Fatalf("Run(parallel=%d): %v", parallel, err)
 		}
@@ -343,7 +345,7 @@ func TestRunUsesCache(t *testing.T) {
 		t.Fatalf("ExportScenario: %v", err)
 	}
 	cache := &mapCache{m: make(map[string]experiments.Result)}
-	rep1, err := Run(obs, Options{Cache: cache})
+	rep1, err := Run(obs, Options{Sweep: experiments.Sweep{Cache: cache}})
 	if err != nil {
 		t.Fatalf("Run 1: %v", err)
 	}
@@ -351,7 +353,7 @@ func TestRunUsesCache(t *testing.T) {
 	if puts == 0 {
 		t.Fatal("first run stored nothing in the cache")
 	}
-	rep2, err := Run(obs, Options{Cache: cache})
+	rep2, err := Run(obs, Options{Sweep: experiments.Sweep{Cache: cache}})
 	if err != nil {
 		t.Fatalf("Run 2: %v", err)
 	}
@@ -360,6 +362,35 @@ func TestRunUsesCache(t *testing.T) {
 	}
 	if rep1.Render() != rep2.Render() {
 		t.Error("cached report differs from simulated report")
+	}
+}
+
+// TestRunReturnsReplayFailure: a replica the sweep fails — an injected
+// fault, a panic, or a context that ended before it ran — comes back from
+// Run and FitMarket as an error, never a panic or a partial report.
+func TestRunReturnsReplayFailure(t *testing.T) {
+	obs, err := ExportScenario("failing", ref2(), 0)
+	if err != nil {
+		t.Fatalf("ExportScenario: %v", err)
+	}
+	down := experiments.Sweep{Inject: func(job, attempt int) error {
+		if job == 1 {
+			panic("replica down")
+		}
+		return nil
+	}}
+	if _, err := Run(obs, Options{Sweep: down}); err == nil || !strings.Contains(err.Error(), "replica down") {
+		t.Fatalf("Run with a panicking replica: err = %v, want the captured panic", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	stopped := experiments.Sweep{Context: ctx}
+	if _, err := Run(obs, Options{Sweep: stopped}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run under a cancelled context: err = %v, want context.Canceled", err)
+	}
+	spec := FitSpec{Bases: []float64{1.9}, Sigmas: []float64{0.013}, Bids: []float64{2.1}, Spreads: []float64{0.6}}
+	if _, err := FitMarket(obs, spec, Options{Sweep: stopped}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("FitMarket under a cancelled context: err = %v, want context.Canceled", err)
 	}
 }
 
@@ -414,7 +445,7 @@ func TestFitMarketSingleCandidate(t *testing.T) {
 		t.Fatalf("render missing best marker or count:\n%s", render)
 	}
 	// Worker count must not move the fit.
-	rep4, err := FitMarket(obs, spec, Options{Parallel: 4})
+	rep4, err := FitMarket(obs, spec, Options{Sweep: experiments.Sweep{Parallel: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}

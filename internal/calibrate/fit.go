@@ -166,12 +166,10 @@ func FitMarket(obs ObservedTrace, spec FitSpec, opts Options) (*FitReport, error
 		}
 	}
 
-	sw := experiments.Sweep{
-		Parallel: opts.Parallel,
-		Seeds:    experiments.SeedRange(ref.Seed, ref.Seeds),
-		Cache:    opts.Cache,
+	reps, err := replay(opts.Sweep, ref, cells)
+	if err != nil {
+		return nil, err
 	}
-	reps := sw.RunCells(cells)
 	for i := range rep.Cells {
 		pred := predictedMetrics(reps[i], horizon, slo)
 		score, n := 0.0, 0

@@ -191,19 +191,18 @@ func Figure5(seed int64) []Figure5Row { return Figure5Sweep(SingleSeed(seed)) }
 // single-seed visualization, so only the sweep's first seed (or 1) is
 // simulated; the two +O replays still share the worker pool.
 func Figure5Sweep(sw Sweep) []Figure5Row {
-	seed := int64(1)
-	if len(sw.Seeds) > 0 {
-		seed = sw.Seeds[0]
+	if len(sw.Seeds) > 1 {
+		sw.Seeds = sw.Seeds[:1]
 	}
 	bases := []trace.Trace{trace.AS(), trace.BS()}
 	var mixes []Scenario
 	for _, base := range bases {
-		sc := DefaultScenario(SpotServe, model.GPT20B, base, seed)
+		sc := DefaultScenario(SpotServe, model.GPT20B, base, 1)
 		sc.AllowOnDemand = true
 		sc.SampleFleet = true
 		mixes = append(mixes, sc)
 	}
-	mixed := Sweep{Parallel: sw.Parallel}.runAll(mixes)
+	mixed := sw.RunCells(mixes)
 	var rows []Figure5Row
 	for i, base := range bases {
 		// Raw spot trace.
@@ -217,7 +216,7 @@ func Figure5Sweep(sw Sweep) []Figure5Row {
 		})
 		// +O mix: replay with the GPT-20B serving stack allowed to
 		// allocate on-demand instances.
-		res := mixed[i]
+		res := mixed[i][0]
 		minTotal, maxTotal := fleetExtremes(res)
 		rows = append(rows, Figure5Row{
 			Name:     base.Name + "+O",
@@ -291,7 +290,7 @@ func Figure6Sweep(sw Sweep) []Figure6Cell {
 			}
 		}
 	}
-	reps := sw.seeded().RunCells(cells)
+	reps := sw.RunCells(cells)
 	for i := range out {
 		out[i].Reps = NewReplication(reps[i])
 		out[i].Summary = out[i].Reps.First
@@ -344,7 +343,7 @@ func Figure7Sweep(sw Sweep) []Figure7Row {
 		cells = append(cells, sc)
 		out = append(out, Figure7Row{System: OnDemandOnly, Trace: sc.Trace.Name})
 	}
-	reps := sw.seeded().RunCells(cells)
+	reps := sw.RunCells(cells)
 	for i := range out {
 		out[i].Reps = NewReplication(reps[i])
 		first := reps[i][0]
@@ -409,7 +408,7 @@ func Figure8Sweep(sw Sweep) []Figure8Row {
 			out = append(out, Figure8Row{System: sys, Trace: tr.Name + "+O"})
 		}
 	}
-	reps := sw.seeded().RunCells(cells)
+	reps := sw.RunCells(cells)
 	for i := range out {
 		out[i].Reps = NewReplication(reps[i])
 		first := reps[i][0]
@@ -459,7 +458,7 @@ func Figure9Sweep(sw Sweep) []Figure9Row {
 			out = append(out, Figure9Row{Variant: v.name, Trace: tr.Name})
 		}
 	}
-	reps := sw.seeded().RunCells(cells)
+	reps := sw.RunCells(cells)
 	for i := range out {
 		out[i].Reps = NewReplication(reps[i])
 		out[i].Summary = out[i].Reps.First

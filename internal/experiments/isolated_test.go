@@ -12,14 +12,26 @@ import (
 	"spotserve/internal/trace"
 )
 
+// collect runs the sweep pool and returns every job's CellResult by flat
+// index.
+func collect(sw Sweep, cells []Scenario) []CellResult {
+	out := make([]CellResult, len(cells)*max(len(sw.Seeds), 1))
+	sw.Run(cells, func(i int, cr CellResult, _ bool) { out[i] = cr })
+	return out
+}
+
 // TestIsolatedMatchesRunAll pins the fault-free equivalence: with no faults
-// injected, RunAllIsolated produces byte-identical results to RunAll, for
-// serial and parallel pools — isolation costs nothing when nothing fails.
+// injected, every CellResult the pool delivers is byte-identical to running
+// the scenario directly through Run, for serial and parallel pools —
+// isolation costs nothing when nothing fails.
 func TestIsolatedMatchesRunAll(t *testing.T) {
 	scs := sweepScenarios(7)
-	want := RunAll(scs, 1)
+	want := make([]Result, len(scs))
+	for i, sc := range scs {
+		want[i] = Run(sc)
+	}
 	for _, workers := range []int{1, 4} {
-		got := Sweep{Parallel: workers}.RunAllIsolated(scs)
+		got := collect(Sweep{Parallel: workers}, scs)
 		if len(got) != len(want) {
 			t.Fatalf("workers=%d: %d results, want %d", workers, len(got), len(want))
 		}
@@ -31,7 +43,7 @@ func TestIsolatedMatchesRunAll(t *testing.T) {
 				t.Errorf("workers=%d job %d: %d attempts, want 1", workers, i, got[i].Attempts)
 			}
 			if gf, wf := got[i].Result.Fingerprint(), want[i].Fingerprint(); gf != wf {
-				t.Errorf("workers=%d job %d: isolated fingerprint %s != RunAll %s", workers, i, gf, wf)
+				t.Errorf("workers=%d job %d: pool fingerprint %s != direct Run %s", workers, i, gf, wf)
 			}
 		}
 	}
@@ -48,7 +60,7 @@ func TestIsolatedCapturesPanic(t *testing.T) {
 	}
 	healthy := []Result{Run(scs[0]), {}, Run(scs[2])}
 	for _, workers := range []int{1, 3} {
-		out := Sweep{Parallel: workers}.RunAllIsolated(scs)
+		out := collect(Sweep{Parallel: workers}, scs)
 		if out[1].Err == nil || !strings.Contains(out[1].Err.Error(), "panicked") {
 			t.Fatalf("workers=%d: bogus cell err = %v, want captured panic", workers, out[1].Err)
 		}
@@ -86,7 +98,7 @@ func TestIsolatedRetryRecovers(t *testing.T) {
 			return nil
 		},
 	}
-	out := sw.RunAllIsolated([]Scenario{sc})
+	out := collect(sw, []Scenario{sc})
 	if out[0].Err != nil {
 		t.Fatalf("retry did not recover: %v", out[0].Err)
 	}
@@ -114,7 +126,7 @@ func TestIsolatedRetryExhaustsBudget(t *testing.T) {
 			return fmt.Errorf("persistent (attempt %d)", attempt)
 		},
 	}
-	out := sw.RunAllIsolated([]Scenario{DefaultScenario(SpotServe, model.OPT6B7, trace.AS(), 1)})
+	out := collect(sw, []Scenario{DefaultScenario(SpotServe, model.OPT6B7, trace.AS(), 1)})
 	if calls != 3 {
 		t.Fatalf("inject called %d times, want 3", calls)
 	}
@@ -132,7 +144,7 @@ func TestIsolatedRetryExhaustsBudget(t *testing.T) {
 // failure happens.
 func TestRetriesDoNotPerturb(t *testing.T) {
 	scs := sweepScenarios(5)[:4]
-	want := RunAll(scs, 1)
+	want := runFlat(scs, 1)
 	var slept []time.Duration
 	sw := Sweep{
 		Parallel: 2,
@@ -142,7 +154,7 @@ func TestRetriesDoNotPerturb(t *testing.T) {
 			Sleep:       func(d time.Duration) { slept = append(slept, d) },
 		},
 	}
-	out := sw.RunAllIsolated(scs)
+	out := collect(sw, scs)
 	for i := range out {
 		if out[i].Err != nil || out[i].Attempts != 1 {
 			t.Fatalf("job %d: {Attempts: %d, Err: %v}, want one clean attempt", i, out[i].Attempts, out[i].Err)
@@ -165,7 +177,7 @@ func TestIsolatedCancellation(t *testing.T) {
 	sw := Sweep{Parallel: 2, Context: ctx}
 	ran := 0
 	sw.Inject = func(job, attempt int) error { ran++; return nil }
-	out := sw.RunAllIsolated(sweepScenarios(3)[:3])
+	out := collect(sw, sweepScenarios(3)[:3])
 	if ran != 0 {
 		t.Fatalf("%d attempts ran under a pre-cancelled context", ran)
 	}
@@ -193,7 +205,7 @@ func TestIsolatedCancellation(t *testing.T) {
 			return fmt.Errorf("fail attempt %d", attempt)
 		},
 	}
-	out2 := sw2.RunAllIsolated([]Scenario{DefaultScenario(SpotServe, model.OPT6B7, trace.AS(), 1)})
+	out2 := collect(sw2, []Scenario{DefaultScenario(SpotServe, model.OPT6B7, trace.AS(), 1)})
 	if attempts != 1 {
 		t.Fatalf("%d attempts ran, want 1 (cancelled during backoff)", attempts)
 	}
@@ -202,11 +214,13 @@ func TestIsolatedCancellation(t *testing.T) {
 	}
 }
 
-// TestIsolatedOnCell: the callback fires once per job with the final
-// CellResult, for successes and failures alike.
+// TestIsolatedOnCell: Run's onCell fires once per job with the final
+// CellResult, for successes and failures alike, while OnResult fires for the
+// successes only, each just before its job's onCell.
 func TestIsolatedOnCell(t *testing.T) {
 	scs := sweepScenarios(9)[:3]
 	seen := map[int]CellResult{}
+	succeeded := map[int]bool{}
 	sw := Sweep{Parallel: 3}
 	sw.Inject = func(job, attempt int) error {
 		if job == 1 {
@@ -214,28 +228,34 @@ func TestIsolatedOnCell(t *testing.T) {
 		}
 		return nil
 	}
-	sw.OnCell = func(i int, cr CellResult, fromCache bool) {
+	sw.OnResult = func(i int, _ Result, _ bool) {
+		if _, done := seen[i]; done || succeeded[i] {
+			t.Errorf("OnResult for job %d fired twice or after its onCell", i)
+		}
+		succeeded[i] = true
+	}
+	sw.Run(scs, func(i int, cr CellResult, _ bool) {
 		if _, dup := seen[i]; dup {
-			t.Errorf("OnCell fired twice for job %d", i)
+			t.Errorf("onCell fired twice for job %d", i)
+		}
+		if succeeded[i] != (cr.Err == nil) {
+			t.Errorf("job %d: OnResult fired = %v for err %v, want successes only", i, succeeded[i], cr.Err)
 		}
 		seen[i] = cr
-	}
-	out := sw.RunAllIsolated(scs)
+	})
 	if len(seen) != len(scs) {
-		t.Fatalf("OnCell fired %d times, want %d", len(seen), len(scs))
+		t.Fatalf("onCell fired %d times, want %d", len(seen), len(scs))
 	}
-	for i := range scs {
-		if (seen[i].Err == nil) != (out[i].Err == nil) {
-			t.Errorf("job %d: callback and return disagree on failure", i)
-		}
+	if len(succeeded) != len(scs)-1 {
+		t.Fatalf("OnResult fired %d times, want %d", len(succeeded), len(scs)-1)
 	}
 	if seen[1].Err == nil {
-		t.Fatal("job 1's injected failure not delivered to OnCell")
+		t.Fatal("job 1's injected failure not delivered to onCell")
 	}
 }
 
-// TestRunCellsIsolatedShape: replica grouping matches RunCells, and the
-// flat job index Inject observes is cell×seeds+replica.
+// TestRunCellsIsolatedShape: Run expands cells×seeds cell-major, and the flat
+// job index Inject and onCell observe is cell×seeds+replica.
 func TestRunCellsIsolatedShape(t *testing.T) {
 	cells := []Scenario{
 		DefaultScenario(SpotServe, model.OPT6B7, trace.AS(), 0),
@@ -251,27 +271,24 @@ func TestRunCellsIsolatedShape(t *testing.T) {
 		}
 		return nil
 	}
-	out := sw.RunCellsIsolated(cells)
-	if len(out) != 2 || len(out[0]) != 3 || len(out[1]) != 3 {
-		t.Fatalf("shape = %dx{%d,%d}, want 2x3", len(out), len(out[0]), len(out[1]))
+	out := collect(sw, cells)
+	if want := []int{0, 1, 2, 3, 4, 5}; !reflect.DeepEqual(injected, want) {
+		t.Fatalf("inject saw jobs %v, want %v in dispatch order", injected, want)
 	}
-	if len(injected) != 6 {
-		t.Fatalf("inject saw %d jobs, want 6", len(injected))
+	if out[4].Err == nil {
+		t.Fatal("flat job 4 should carry its injected failure")
 	}
-	if out[1][1].Err == nil {
-		t.Fatal("flat job 4 should map to cell 1 replica 1")
-	}
-	for i := range out {
-		for j, cr := range out[i] {
-			if i == 1 && j == 1 {
-				continue
-			}
-			if cr.Err != nil {
-				t.Errorf("cell %d replica %d: unexpected error %v", i, j, cr.Err)
-			}
-			if cr.Result.Scenario.Seed != seeds[j] {
-				t.Errorf("cell %d replica %d: seed %d, want %d", i, j, cr.Result.Scenario.Seed, seeds[j])
-			}
+	for i, cr := range out {
+		if i == 4 {
+			continue
+		}
+		if cr.Err != nil {
+			t.Errorf("job %d: unexpected error %v", i, cr.Err)
+		}
+		c, j := i/len(seeds), i%len(seeds)
+		if cr.Result.Scenario.System != cells[c].System || cr.Result.Scenario.Seed != seeds[j] {
+			t.Errorf("job %d ran %s at seed %d, want cell %d (%s) at seed %d",
+				i, cr.Result.Scenario.System, cr.Result.Scenario.Seed, c, cells[c].System, seeds[j])
 		}
 	}
 }

@@ -14,8 +14,9 @@ import (
 	"spotserve/internal/metrics"
 )
 
-// Sweep configures the parallel scenario harness. The zero value runs every
-// scenario once, at its own seed, on all available cores.
+// Sweep configures the scenario sweep pool. The zero value runs every
+// scenario once, at its own seed, on all available cores, with no cache, no
+// retries and no cancellation.
 type Sweep struct {
 	// Parallel bounds the worker pool; <= 0 means runtime.GOMAXPROCS(0).
 	Parallel int
@@ -31,48 +32,37 @@ type Sweep struct {
 	// sweeps are byte-identical — the serving daemon's equivalence tests
 	// pin this. Implementations must be safe for concurrent use.
 	Cache ResultCache
-	// OnResult, when non-nil, is invoked as each scenario finishes (from
-	// worker goroutines, serialized by an internal mutex) with the job's
-	// input index, its Result, and whether it was served from Cache.
-	// Completion order is nondeterministic; the indexed results are not.
+	// OnResult, when non-nil, is invoked as each job succeeds (from worker
+	// goroutines, serialized by the pool's mutex, just before Run's onCell
+	// for the same job) with the job's flat index, its Result, and whether
+	// it was served from Cache. Failed jobs never reach it. Completion
+	// order is nondeterministic; the indexed results are not.
 	OnResult func(i int, r Result, fromCache bool)
-
-	// --- fault-tolerant (isolated) mode ---
-	//
-	// The fields below act only on the RunAllIsolated/RunCellsIsolated
-	// entry points. The classic entry points keep the historical contract
-	// — any worker panic aborts the whole sweep — so every golden stays
-	// byte-identical; isolation is always an explicit opt-in.
-
-	// Context, when non-nil, cancels an isolated run cooperatively: jobs
-	// not yet started (and retries not yet attempted) short-circuit to
+	// Context, when non-nil, cancels the sweep cooperatively: jobs not yet
+	// started (and retries not yet attempted) short-circuit to
 	// CellResult{Err: ctx.Err()} once it is done. Jobs already simulating
 	// run to completion — the kernel itself is never interrupted, so every
 	// completed cell stays byte-identical to an uncancelled run.
 	Context context.Context
-	// Retry is the per-cell retry policy for isolated runs; the zero value
-	// runs each job exactly once.
+	// Retry is the per-job retry policy; the zero value runs each job
+	// exactly once.
 	Retry RetryPolicy
 	// Inject, when non-nil, is called at the start of every attempt with
-	// the flat job index (cell×seeds+replica under RunCellsIsolated) and
-	// the 1-based attempt number — the fault-injection seam internal/faults
-	// plugs into. Returning an error fails the attempt; a panic inside it
-	// is captured exactly like a worker panic. It must be deterministic in
-	// (job, attempt) so chaos runs are reproducible. Injection happens
-	// before the simulation runs, so a fault can never corrupt a result —
-	// only replace it with an error.
+	// the flat job index (cell×seeds+replica) and the 1-based attempt
+	// number — the fault-injection seam internal/faults plugs into.
+	// Returning an error fails the attempt; a panic inside it is captured
+	// exactly like a simulation panic. It must be deterministic in (job,
+	// attempt) so chaos runs are reproducible. Injection happens before the
+	// simulation runs, so a fault can never corrupt a result — only replace
+	// it with an error.
 	Inject func(job, attempt int) error
-	// OnCell mirrors OnResult for isolated runs: invoked with the job's
-	// input index and its CellResult (success or final failure) after the
-	// last attempt, serialized by the same internal mutex.
-	OnCell func(i int, cr CellResult, fromCache bool)
 }
 
 // CellResult is one job's fault-isolated outcome: the Result when any
 // attempt succeeded, the final error otherwise, and how many attempts ran
-// (0 only when the job was cancelled before it ever started). The isolated
-// entry points degrade failures to per-cell errors — one panicking cell of
-// a thousand costs one cell, never the sweep.
+// (0 only when the job was cancelled before it ever started). The pool
+// degrades failures to per-job errors — one panicking cell of a thousand
+// costs one cell, never the sweep.
 type CellResult struct {
 	Result   Result
 	Err      error
@@ -183,16 +173,6 @@ func (sc Scenario) CacheKey() (string, bool) {
 // serial-equivalent replication at exactly one seed, parallel workers.
 func SingleSeed(seed int64) Sweep { return Sweep{Seeds: []int64{seed}} }
 
-// seeded returns the sweep with Seeds defaulted to {1}. The figure sweeps
-// pin their grid to the sweep seeds, so an empty seed list there means
-// "seed 1 once" rather than RunCells's keep-own-seed mode.
-func (sw Sweep) seeded() Sweep {
-	if len(sw.Seeds) == 0 {
-		sw.Seeds = []int64{1}
-	}
-	return sw
-}
-
 // SeedRange returns n consecutive seeds starting at base, the expansion
 // behind the -seeds N command-line flag.
 func SeedRange(base int64, n int) []int64 {
@@ -221,179 +201,74 @@ func (sw Sweep) workers(n int) int {
 	return w
 }
 
-// RunAll executes the scenarios on a bounded worker pool and returns their
-// results in input order. Each scenario simulates in its own kernel with its
-// own RNGs, so results are byte-identical to running the same slice through
-// Run serially, regardless of worker count or scheduling order. A panic in
-// any worker (malformed scenario) is re-raised on the caller's goroutine.
-func RunAll(scs []Scenario, parallel int) []Result {
-	return Sweep{Parallel: parallel}.runAll(scs)
-}
-
-func (sw Sweep) runAll(scs []Scenario) []Result {
-	return sw.runPool(scs, true)
-}
-
-// runPool is the worker pool behind runAll and the streaming entry points.
-// With retain=false no Result outlives its OnResult callback — the pool's
-// footprint is the in-flight jobs, whatever the job count.
-func (sw Sweep) runPool(scs []Scenario, retain bool) []Result {
-	var results []Result
-	if retain {
-		results = make([]Result, len(scs))
-	}
-	if len(scs) == 0 {
-		return results
-	}
-	// notifyMu serializes OnResult so callback bookkeeping (streaming rows,
-	// per-cell completion counts) needs no locking of its own.
-	var notifyMu sync.Mutex
-	runOne := func(i int) {
-		r, fromCache := sw.runCached(scs[i])
-		if retain {
-			results[i] = r
-		}
-		if sw.OnResult != nil {
-			notifyMu.Lock()
-			sw.OnResult(i, r, fromCache)
-			notifyMu.Unlock()
-		}
-	}
-	workers := sw.workers(len(scs))
-	if workers == 1 {
-		for i := range scs {
-			runOne(i)
-		}
-		return results
-	}
-	var next atomic.Int64
-	next.Store(-1)
-	// Panic values are wrapped in a single concrete type: atomic.Value
-	// itself panics when two workers store inconsistently typed values.
-	type capturedPanic struct{ val any }
-	var panicked atomic.Value
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicked.CompareAndSwap(nil, capturedPanic{val: r})
-				}
-			}()
-			for {
-				i := int(next.Add(1))
-				if i >= len(scs) || panicked.Load() != nil {
-					return
-				}
-				runOne(i)
-			}
-		}()
-	}
-	wg.Wait()
-	if r := panicked.Load(); r != nil {
-		panic(r.(capturedPanic).val)
-	}
-	return results
-}
-
-// cacheKeyFor resolves the scenario's cache key when a cache is configured
-// and the scenario is cacheable.
-func cacheKeyFor(sc Scenario, cache ResultCache) (string, bool) {
-	if cache == nil {
-		return "", false
-	}
-	return sc.CacheKey()
-}
-
-// runCached simulates one scenario through the optional result cache and
-// reports whether the result was replayed from it — the single run path
-// shared by the classic and isolated pools, so cache semantics cannot
-// drift between them.
-func (sw Sweep) runCached(sc Scenario) (Result, bool) {
-	if key, ok := cacheKeyFor(sc, sw.Cache); ok {
-		if hit, found := sw.Cache.Get(key); found {
-			return hit, true
-		}
-		r := Run(sc)
-		sw.Cache.Put(key, r)
-		return r, false
-	}
-	return Run(sc), false
-}
-
-// RunAllIsolated executes the scenarios on the bounded worker pool with
-// per-cell fault isolation: a worker panic or an injected fault is captured
-// into that job's CellResult instead of aborting the sweep, failed attempts
-// retry under the sweep's RetryPolicy, and Context cancellation
-// short-circuits jobs that have not started. Results are in input order.
-// When nothing fails, every CellResult.Result is byte-identical to the
-// corresponding RunAll result — the determinism-under-faults tests pin it.
-func (sw Sweep) RunAllIsolated(scs []Scenario) []CellResult {
-	out := make([]CellResult, len(scs))
-	if len(scs) == 0 {
-		return out
-	}
+// Run is the sweep pool. It runs every cell once per sweep seed — cell-major,
+// flat job index i = cell×len(Seeds)+replica; with no Seeds each cell runs
+// once at its own seed — on a bounded worker pool that dispatches jobs in
+// index order. Every job goes through Context, Inject, Cache and Retry, and
+// a panic anywhere in it is captured into its CellResult.Err, so one failing
+// job never costs another. Each scenario simulates in its own kernel with
+// its own RNGs, so every result is byte-identical to a serial run at any
+// worker count.
+//
+// As each job finishes, Run calls OnResult (successes only) and then onCell
+// (every job, with its final CellResult), serialized by one mutex. It
+// retains nothing itself: a Result outlives its callbacks only if they keep
+// it, so the pool's footprint is the in-flight jobs, whatever the job count.
+func (sw Sweep) Run(cells []Scenario, onCell func(i int, cr CellResult, fromCache bool)) {
+	perCell := max(len(sw.Seeds), 1)
+	n := len(cells) * perCell
 	ctx := sw.Context
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	var notifyMu sync.Mutex
-	runOne := func(i int) CellResult {
-		var cr CellResult
-		fromCache := false
-		budget := sw.Retry.attempts()
-		for attempt := 1; attempt <= budget; attempt++ {
-			if err := ctx.Err(); err != nil {
-				// Cancelled between attempts (or before the first): the
-				// cancellation reason supersedes any earlier fault.
-				cr.Err = err
-				break
-			}
-			cr.Attempts = attempt
-			r, fc, err := sw.attemptOne(i, attempt, scs[i])
-			if err == nil {
-				cr.Result, cr.Err, fromCache = r, nil, fc
-				break
-			}
-			cr.Err = err
-			if attempt < budget {
-				sw.backoff(ctx, sw.Retry.Delay(attempt+1))
-			}
-		}
-		if sw.OnCell != nil {
-			notifyMu.Lock()
-			sw.OnCell(i, cr, fromCache)
-			notifyMu.Unlock()
-		}
-		return cr
-	}
-	workers := sw.workers(len(scs))
-	if workers == 1 {
-		for i := range scs {
-			out[i] = runOne(i)
-		}
-		return out
-	}
+	var mu sync.Mutex
 	var next atomic.Int64
-	next.Store(-1)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := sw.workers(n); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i >= len(scs) {
-					return
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				sc := cells[i/perCell]
+				if len(sw.Seeds) > 0 {
+					sc.Seed = sw.Seeds[i%perCell]
 				}
-				out[i] = runOne(i)
+				cr, fromCache := sw.runJob(ctx, i, sc)
+				mu.Lock()
+				if cr.Err == nil && sw.OnResult != nil {
+					sw.OnResult(i, cr.Result, fromCache)
+				}
+				if onCell != nil {
+					onCell(i, cr, fromCache)
+				}
+				mu.Unlock()
 			}
 		}()
 	}
 	wg.Wait()
-	return out
+}
+
+// runJob runs one job under the retry policy. A done context short-circuits
+// before any attempt and supersedes an earlier attempt's error.
+func (sw Sweep) runJob(ctx context.Context, i int, sc Scenario) (cr CellResult, fromCache bool) {
+	budget := sw.Retry.attempts()
+	for attempt := 1; attempt <= budget; attempt++ {
+		if err := ctx.Err(); err != nil {
+			cr.Err = err
+			return cr, false
+		}
+		cr.Attempts = attempt
+		var err error
+		if cr.Result, fromCache, err = sw.attemptOne(i, attempt, sc); err == nil {
+			cr.Err = nil
+			return cr, fromCache
+		}
+		cr.Err = err
+		if attempt < budget {
+			sw.backoff(ctx, sw.Retry.Delay(attempt+1))
+		}
+	}
+	return cr, false
 }
 
 // attemptOne runs one attempt of one job: fault injection first, then the
@@ -415,6 +290,24 @@ func (sw Sweep) attemptOne(i, attempt int, sc Scenario) (r Result, fromCache boo
 	return r, fromCache, nil
 }
 
+// runCached simulates one scenario through the optional result cache and
+// reports whether the result was replayed from it.
+func (sw Sweep) runCached(sc Scenario) (Result, bool) {
+	if sw.Cache == nil {
+		return Run(sc), false
+	}
+	key, ok := sc.CacheKey()
+	if !ok {
+		return Run(sc), false
+	}
+	if hit, found := sw.Cache.Get(key); found {
+		return hit, true
+	}
+	r := Run(sc)
+	sw.Cache.Put(key, r)
+	return r, false
+}
+
 // backoff waits out a retry delay, waking early on cancellation. A custom
 // RetryPolicy.Sleep (tests) is invoked as-is.
 func (sw Sweep) backoff(ctx context.Context, d time.Duration) {
@@ -433,67 +326,30 @@ func (sw Sweep) backoff(ctx context.Context, d time.Duration) {
 	}
 }
 
-// RunCells runs every cell scenario once per sweep seed and returns the
-// replicas grouped by cell: out[i][j] is cells[i] simulated at Seeds[j].
-// With no sweep seeds each cell runs once at its own seed. Cell×seed jobs
-// are flattened into one pool so replication parallelizes as well as the
-// grid does.
+// RunCells runs the cells through Run and returns the replicas grouped by
+// cell: out[i][j] is cells[i] simulated at Seeds[j], or out[i][0] at the
+// cell's own seed when the sweep has no Seeds. It keeps the abort contract
+// the figure sweeps rely on: once the pool drains, the lowest-index failed
+// job's error is re-raised as a panic on the caller's goroutine.
 func (sw Sweep) RunCells(cells []Scenario) [][]Result {
-	jobs, perCell := sw.cellJobs(cells)
-	flat := sw.runAll(jobs)
+	perCell := max(len(sw.Seeds), 1)
+	flat := make([]Result, len(cells)*perCell)
+	failed := len(flat)
+	var failure error
+	sw.Run(cells, func(i int, cr CellResult, _ bool) {
+		flat[i] = cr.Result
+		if cr.Err != nil && i < failed {
+			failed, failure = i, cr.Err
+		}
+	})
+	if failure != nil {
+		panic(failure)
+	}
 	out := make([][]Result, len(cells))
 	for i := range cells {
 		out[i] = flat[i*perCell : (i+1)*perCell]
 	}
 	return out
-}
-
-// RunCellsStream runs every cell×seed job through the same pool as
-// RunCells — same flattening, same determinism, same callback ordering —
-// but retains nothing: each Result is observable only through OnResult and
-// is garbage the moment the callback returns. Peak memory is proportional
-// to the in-flight jobs rather than cells×seeds, which is what lets a
-// 1000+-cell grid stream through a bounded footprint.
-func (sw Sweep) RunCellsStream(cells []Scenario) {
-	jobs, _ := sw.cellJobs(cells)
-	sw.runPool(jobs, false)
-}
-
-// RunCellsIsolated is RunCells with per-cell fault isolation: every
-// replica's outcome (success or captured failure) is returned, grouped by
-// cell, and a failing replica never aborts the sweep. Flat job index
-// cell×perCell+replica is what Sweep.Inject and OnCell observe.
-func (sw Sweep) RunCellsIsolated(cells []Scenario) [][]CellResult {
-	jobs, perCell := sw.cellJobs(cells)
-	flat := sw.RunAllIsolated(jobs)
-	out := make([][]CellResult, len(cells))
-	for i := range cells {
-		out[i] = flat[i*perCell : (i+1)*perCell]
-	}
-	return out
-}
-
-// cellJobs flattens cells×seeds into one job list (cell-major) — the shared
-// expansion behind RunCells and RunCellsIsolated.
-func (sw Sweep) cellJobs(cells []Scenario) ([]Scenario, int) {
-	seeds := sw.Seeds
-	perCell := len(seeds)
-	if perCell == 0 {
-		perCell = 1
-	}
-	jobs := make([]Scenario, 0, len(cells)*perCell)
-	for _, c := range cells {
-		if len(seeds) == 0 {
-			jobs = append(jobs, c)
-			continue
-		}
-		for _, seed := range seeds {
-			r := c
-			r.Seed = seed
-			jobs = append(jobs, r)
-		}
-	}
-	return jobs, perCell
 }
 
 // Replication folds one cell's per-seed replicas into mergeable aggregates:

@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -44,14 +46,24 @@ func sweepScenarios(seed int64) []Scenario {
 	return scs
 }
 
+// runFlat runs each scenario once at its own seed through RunCells and
+// returns the results in input order.
+func runFlat(scs []Scenario, workers int) []Result {
+	var out []Result
+	for _, reps := range (Sweep{Parallel: workers}).RunCells(scs) {
+		out = append(out, reps...)
+	}
+	return out
+}
+
 // TestParallelMatchesSerial locks in the harness's core guarantee: the
 // parallel sweep produces byte-identical results to the serial path at the
 // same seeds, for every worker count.
 func TestParallelMatchesSerial(t *testing.T) {
 	scs := sweepScenarios(7)
-	serial := RunAll(scs, 1)
+	serial := runFlat(scs, 1)
 	for _, workers := range []int{2, 4, 8} {
-		par := RunAll(scs, workers)
+		par := runFlat(scs, workers)
 		for i := range serial {
 			if sf, pf := serial[i].Fingerprint(), par[i].Fingerprint(); sf != pf {
 				t.Errorf("workers=%d scenario %d (%s/%s/%s): parallel fingerprint %s != serial %s",
@@ -154,23 +166,32 @@ func TestFigureSweepsMatchSerialEntryPoints(t *testing.T) {
 	}
 }
 
-// TestRunAllPanicPropagates asserts a worker panic (malformed scenario)
-// surfaces on the caller's goroutine instead of crashing the process.
-func TestRunAllPanicPropagates(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic from unknown system to propagate")
-		}
-	}()
+// TestRunCellsPanicPropagates asserts the abort contract: a failed job
+// (malformed scenario) surfaces as a panic on the caller's goroutine instead
+// of crashing the process, after the pool has drained, carrying the
+// lowest-index failure even when several workers fail concurrently.
+func TestRunCellsPanicPropagates(t *testing.T) {
 	scs := []Scenario{
 		DefaultScenario(SpotServe, model.OPT6B7, trace.AS(), 1),
 		{System: System("bogus"), Spec: model.OPT6B7, Trace: trace.AS(), Rate: 1, Seed: 1},
-		// A second panicking scenario: concurrent worker panics must not
-		// crash the process either.
 		{System: System("bogus2"), Spec: model.OPT6B7, Trace: trace.AS(), Rate: 1, Seed: 1},
 		DefaultScenario(Reroute, model.OPT6B7, trace.AS(), 1),
 	}
-	RunAll(scs, 4)
+	healthy := 0 // OnResult is serialized by the pool
+	sw := Sweep{Parallel: 4, OnResult: func(int, Result, bool) { healthy++ }}
+	defer func() {
+		p := recover()
+		if p == nil {
+			t.Fatal("expected panic from unknown system to propagate")
+		}
+		if msg := fmt.Sprint(p); !strings.Contains(msg, `cell 1 `) || !strings.Contains(msg, `"bogus"`) {
+			t.Fatalf("panic %q, want the lowest-index failure (cell 1, bogus)", msg)
+		}
+		if healthy != 2 {
+			t.Fatalf("%d healthy jobs delivered before the panic, want 2 (the pool drains first)", healthy)
+		}
+	}()
+	sw.RunCells(scs)
 }
 
 func TestSeedRange(t *testing.T) {
@@ -184,10 +205,13 @@ func TestSeedRange(t *testing.T) {
 	}
 }
 
-func TestRunAllEmpty(t *testing.T) {
-	if out := RunAll(nil, 8); len(out) != 0 {
-		t.Fatalf("RunAll(nil) = %d results", len(out))
+func TestRunCellsEmpty(t *testing.T) {
+	if out := (Sweep{Parallel: 8}).RunCells(nil); len(out) != 0 {
+		t.Fatalf("RunCells(nil) = %d results", len(out))
 	}
+	(Sweep{Seeds: SeedRange(1, 3)}).Run(nil, func(int, CellResult, bool) {
+		t.Fatal("Run(nil) delivered a job")
+	})
 }
 
 // mapCache is a minimal ResultCache for the hook tests.

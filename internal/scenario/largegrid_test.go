@@ -1,9 +1,11 @@
 package scenario
 
 import (
+	"context"
 	"testing"
 
 	"spotserve/internal/experiments"
+	"spotserve/internal/faults"
 )
 
 // TestLadderNameRoundTrip pins the parameter-encoded ladder-variant scheme:
@@ -104,7 +106,10 @@ func TestFullGridScale(t *testing.T) {
 // row fingerprint-matches its serial twin — the determinism contract at
 // grid scale — and (b) aggregation is memory-bounded: raw replica Results
 // live only while their cell is in flight, so the peak number of
-// unreleased cells stays proportional to the worker pool, not the grid.
+// unreleased cells stays within the worker pool, not the grid. The parallel
+// pass uses the sweep configuration the serving daemon runs jobs with — a
+// live Context, retries, and a chaos hook whose transient faults heal on
+// the retry — so the bound is pinned on the daemon's path.
 func TestLargeGridStreamingSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1000+-cell sweep; skipped under -short")
@@ -121,13 +126,12 @@ func TestLargeGridStreamingSweep(t *testing.T) {
 		t.Fatalf("grid has %d cells, want 1000+", len(cells))
 	}
 
-	run := func(workers int) ([]GridRow, int) {
-		sw := experiments.Sweep{Parallel: workers, Seeds: []int64{1, 2}}
+	run := func(sw experiments.Sweep) ([]GridRow, int) {
 		// Memory-bounded accounting: a cell is "live" from its first
 		// replica landing until its row folds (the moment GridSweepStream
-		// releases the cell's Results). Both hooks run under the sweep's
-		// callback mutex — the caller-installed OnResult fires before the
-		// grid's bookkeeping, onRow after it — so live/peak are exact.
+		// releases the cell's Results). Both hooks run under the pool's
+		// mutex — OnResult fires before the grid's bookkeeping, onRow after
+		// it — so live/peak are exact.
 		perCell := len(sw.Seeds)
 		seen := make([]bool, len(cells))
 		live, peak := 0, 0
@@ -146,13 +150,29 @@ func TestLargeGridStreamingSweep(t *testing.T) {
 		return rows, peak
 	}
 
-	serialRows, serialPeak := run(1)
-	parRows, parPeak := run(8)
+	seeds := []int64{1, 2}
+	serialRows, serialPeak := run(experiments.Sweep{Parallel: 1, Seeds: seeds})
+	const workers = 8
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	plan := faults.Plan{Kind: faults.TransientError, Seed: 1, Rate: 0.05, SucceedAfter: 2}
+	parRows, parPeak := run(experiments.Sweep{
+		Parallel: workers,
+		Seeds:    seeds,
+		Context:  ctx,
+		Retry:    experiments.RetryPolicy{MaxAttempts: 3},
+		Inject:   plan.Hook(),
+	})
 
 	if len(parRows) != len(serialRows) {
 		t.Fatalf("row counts differ: %d parallel vs %d serial", len(parRows), len(serialRows))
 	}
+	retries := 0
 	for i := range serialRows {
+		if parRows[i].Err != "" {
+			t.Fatalf("cell %d failed despite retries: %s", i, parRows[i].Err)
+		}
+		retries += parRows[i].Retries
 		sf, pf := serialRows[i].Fingerprints, parRows[i].Fingerprints
 		if len(sf) != len(pf) {
 			t.Fatalf("cell %d: fingerprint counts differ", i)
@@ -164,17 +184,21 @@ func TestLargeGridStreamingSweep(t *testing.T) {
 			}
 		}
 	}
+	if want := len(plan.AfflictedCells(len(cells) * len(seeds))); retries != want || want == 0 {
+		t.Fatalf("parallel pass retried %d replicas, want %d (one per afflicted replica)", retries, want)
+	}
 	// Serially a cell completes before the next starts: exactly one live.
 	if serialPeak != 1 {
 		t.Errorf("serial peak live cells = %d, want 1", serialPeak)
 	}
-	// In parallel a cell stays live while any worker holds one of its
-	// replicas; with 8 workers that is a few dozen cells at the very worst,
-	// never hundreds — the O(grid) retention this bound would catch.
-	if parPeak > len(cells)/8 {
-		t.Errorf("parallel peak live cells = %d of %d — aggregation is not memory-bounded", parPeak, len(cells))
+	// Jobs dispatch in flat-index order, so a partly delivered cell either
+	// has a replica in flight (at most one cell per worker) or straddles
+	// the dispatch index (at most one cell).
+	if parPeak > workers+1 {
+		t.Errorf("parallel peak live cells = %d of %d, want <= %d — aggregation is not memory-bounded",
+			parPeak, len(cells), workers+1)
 	}
-	t.Logf("peak live cells: serial=%d parallel=%d of %d", serialPeak, parPeak, len(cells))
+	t.Logf("peak live cells: serial=%d parallel=%d of %d; %d replicas retried", serialPeak, parPeak, len(cells), retries)
 }
 
 // BenchmarkLargeGridSweep measures the streaming sweep at full-grid scale

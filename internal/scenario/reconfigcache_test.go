@@ -22,6 +22,16 @@ func gridCells(t *testing.T) []experiments.Scenario {
 	return cells
 }
 
+// runEach runs each cell once at its own seed through the sweep pool and
+// returns the results in grid order (workers <= 0 = all cores).
+func runEach(cells []experiments.Scenario, workers int) []experiments.Result {
+	var out []experiments.Result
+	for _, reps := range (experiments.Sweep{Parallel: workers}).RunCells(cells) {
+		out = append(out, reps...)
+	}
+	return out
+}
+
 // TestGridReconfigCacheEquivalence runs the full default scenario
 // grid twice — reconfiguration cache enabled and disabled — and requires
 // byte-identical fingerprints cell by cell. The grid spans every
@@ -30,13 +40,13 @@ func gridCells(t *testing.T) []experiments.Scenario {
 // driven fleet churn and correlated preemption storms at once.
 func TestGridReconfigCacheEquivalence(t *testing.T) {
 	cells := gridCells(t)
-	warm := experiments.RunAll(cells, 0)
+	warm := runEach(cells, 0)
 	cold := make([]experiments.Scenario, len(cells))
 	copy(cold, cells)
 	for i := range cold {
 		cold[i].DisableReconfigCache = true
 	}
-	coldRes := experiments.RunAll(cold, 0)
+	coldRes := runEach(cold, 0)
 	for i := range cells {
 		coldRes[i].Scenario.DisableReconfigCache = false
 		if got, want := warm[i].Fingerprint(), coldRes[i].Fingerprint(); got != want {
@@ -51,8 +61,8 @@ func TestGridReconfigCacheEquivalence(t *testing.T) {
 // scheduling order must not leak into results.
 func TestGridReconfigCacheParallelDeterminism(t *testing.T) {
 	cells := gridCells(t)
-	serial := experiments.RunAll(cells, 1)
-	parallel := experiments.RunAll(cells, 0)
+	serial := runEach(cells, 1)
+	parallel := runEach(cells, 0)
 	for i := range cells {
 		if got, want := parallel[i].Fingerprint(), serial[i].Fingerprint(); got != want {
 			t.Errorf("cell %d (%s/%s/%s): parallel fingerprint %s != serial %s",

@@ -292,14 +292,14 @@ type GridRow struct {
 	// the determinism contract a served row is checked against (a daemon
 	// job's rows must fingerprint-match the equivalent CLI run).
 	Fingerprints []string
-	// Err is the cell's failure under fault-isolated sweeps ("" on
-	// success): the first failed replica's error, in seed order. A failed
-	// cell renders as an n/a row with an error footer instead of aborting
-	// the sweep; its stats fields and Fingerprints are left zero.
+	// Err is the cell's failure ("" on success): the first failed
+	// replica's error, in seed order. A failed cell renders as an n/a row
+	// with an error footer instead of aborting the sweep; its stats fields
+	// and Fingerprints are left zero.
 	Err string `json:"error,omitempty"`
 	// Retries counts extra simulation attempts across the cell's replicas
 	// (attempts beyond the first, summed). Always 0 when no fault fired,
-	// so fault-free rows stay byte-identical to the classic sweep's.
+	// so fault-free rows stay byte-identical whatever retry policy ran.
 	Retries int `json:"retries,omitempty"`
 }
 
@@ -333,10 +333,12 @@ func SLOPct(r experiments.Result, slo float64) float64 {
 	return float64(met) / float64(len(vals)) * 100
 }
 
-// buildRow folds one cell's seed replicas into its grid row. It is pure in
-// its inputs, so a row streamed mid-sweep is byte-identical to the row the
-// finished sweep assembles.
-func buildRow(rs []experiments.Result, slo float64) GridRow {
+// BuildRow folds one cell's successful seed replicas into its grid row. It
+// is pure in its inputs, so a row streamed mid-sweep is byte-identical to the
+// row the finished sweep returns; the calibration replay streams its single
+// cell through it too, so a daemon calibrate job's row is shaped exactly like
+// a grid job's.
+func BuildRow(rs []experiments.Result, slo float64) GridRow {
 	first := rs[0]
 	row := GridRow{
 		Avail:    first.Scenario.AvailModel,
@@ -365,21 +367,13 @@ func buildRow(rs []experiments.Result, slo float64) GridRow {
 	return row
 }
 
-// BuildRow folds one cell's seed replicas into its grid row — the exported
-// form of buildRow for callers outside the grid sweeps (the calibration
-// replay streams its single cell through this, so a daemon calibrate job's
-// row is shaped exactly like a grid job's).
-func BuildRow(rs []experiments.Result, slo float64) GridRow {
-	return buildRow(rs, slo)
-}
-
 // buildRowFT folds one cell's fault-isolated replicas into its grid row.
-// With every replica successful it defers to buildRow (plus the retry
-// count), so a fault-free tolerant sweep produces rows byte-identical to
-// the classic path. Any failed replica degrades the whole cell to an
-// error row — mixing bands over a partial seed set would silently change
-// what the row means — carrying the axes from the cell scenario (the
-// failed replicas have no Result to read them from).
+// With every replica successful it defers to BuildRow (plus the retry
+// count), so a fault-free row is byte-identical whatever retry policy ran.
+// Any failed replica degrades the whole cell to an error row — mixing bands
+// over a partial seed set would silently change what the row means —
+// carrying the axes from the cell scenario (the failed replicas have no
+// Result to read them from).
 func buildRowFT(cell experiments.Scenario, crs []experiments.CellResult, slo float64) GridRow {
 	var ok []experiments.Result
 	retries := 0
@@ -397,7 +391,7 @@ func buildRowFT(cell experiments.Scenario, crs []experiments.CellResult, slo flo
 		ok = append(ok, cr.Result)
 	}
 	if errMsg == "" {
-		row := buildRow(ok, slo)
+		row := BuildRow(ok, slo)
 		row.Retries = retries
 		return row
 	}
@@ -413,19 +407,31 @@ func buildRowFT(cell experiments.Scenario, crs []experiments.CellResult, slo flo
 	}
 }
 
-// GridSweep runs the grid through the parallel sweep harness, replicating
-// every cell at each sweep seed (default: the grid's base seed once).
-// Results are byte-identical to a serial run at any worker count.
-func GridSweep(g Grid, sw experiments.Sweep) ([]GridRow, error) {
-	return GridSweepStream(g, sw, nil)
-}
-
-// resolve expands the grid and defaults the sweep seeds and SLO — the
-// shared preamble of the classic and fault-tolerant grid sweeps.
-func (g Grid) resolve(sw experiments.Sweep) ([]experiments.Scenario, experiments.Sweep, float64, error) {
+// GridSweepStream runs the grid through the sweep pool, replicating every
+// cell at each sweep seed (default: the grid's base seed once), and returns
+// one row per cell in grid order. Results are byte-identical to a serial run
+// at any worker count.
+//
+// Cells are fault-isolated: a panicking, erroring or injected-fault replica
+// degrades its cell to an error row (rendered n/a) instead of aborting the
+// sweep, failed replicas retry under the sweep's RetryPolicy, and the
+// sweep's Context cancels the run cooperatively (unstarted cells become
+// error rows).
+//
+// When onRow is non-nil it is invoked as each cell's last seed replica
+// finishes (from sweep worker goroutines, serialized by the pool's mutex)
+// with the cell index and the row — the same row the returned slice holds
+// at that index; the serving daemon streams partial grids through it. Cells
+// complete in nondeterministic order under parallelism.
+//
+// Aggregation is streaming and memory-bounded: raw replica Results are held
+// only while their cell is in flight and released the moment the cell's row
+// folds, so peak memory is O(active cells × seeds), not O(grid × seeds).
+// A caller-installed sw.OnResult still fires for every successful replica.
+func GridSweepStream(g Grid, sw experiments.Sweep, onRow func(cell int, row GridRow)) ([]GridRow, error) {
 	cells, err := g.Cells()
 	if err != nil {
-		return nil, sw, 0, err
+		return nil, err
 	}
 	if len(sw.Seeds) == 0 {
 		seed := g.Seed
@@ -438,97 +444,27 @@ func (g Grid) resolve(sw experiments.Sweep) ([]experiments.Scenario, experiments
 	if slo <= 0 {
 		slo = DefaultSLO
 	}
-	return cells, sw, slo, nil
-}
-
-// GridSweepTolerant runs the grid with per-cell fault isolation: a
-// panicking, erroring or injected-fault cell degrades to an error row
-// (rendered n/a) instead of aborting the sweep, failed replicas retry
-// under the sweep's RetryPolicy, and the sweep's Context cancels the run
-// cooperatively. onRow, when non-nil, streams each cell's row as its last
-// replica lands, exactly like GridSweepStream. With no faults firing the
-// returned rows — and the render built from them — are byte-identical to
-// GridSweep's, whatever retry policy is configured; the determinism-under-
-// faults tests pin this.
-func GridSweepTolerant(g Grid, sw experiments.Sweep, onRow func(cell int, row GridRow)) ([]GridRow, error) {
-	cells, sw, slo, err := g.resolve(sw)
-	if err != nil {
-		return nil, err
-	}
+	// Pending buffers are allocated on a cell's first replica and dropped
+	// with its last; the pool serializes onCell, so the bookkeeping needs no
+	// locking of its own.
 	perCell := len(sw.Seeds)
+	rows := make([]GridRow, len(cells))
 	pending := make([][]experiments.CellResult, len(cells))
-	remaining := make([]int, len(cells))
-	for i := range cells {
-		pending[i] = make([]experiments.CellResult, perCell)
-		remaining[i] = perCell
-	}
-	if onRow != nil {
-		sw.OnCell = func(i int, cr experiments.CellResult, _ bool) {
-			cell := i / perCell
-			pending[cell][i%perCell] = cr
-			if remaining[cell]--; remaining[cell] == 0 {
-				onRow(cell, buildRowFT(cells[cell], pending[cell], slo))
-				pending[cell] = nil // released; the final rows fold the pool's own copies
-			}
-		}
-	}
-	crs := sw.RunCellsIsolated(cells)
-	rows := make([]GridRow, len(cells))
-	for i, cr := range crs {
-		rows[i] = buildRowFT(cells[i], cr, slo)
-	}
-	return rows, nil
-}
-
-// GridSweepStream is GridSweep with a per-cell callback: when onRow is
-// non-nil it is invoked as each cell's last seed replica finishes (from
-// sweep worker goroutines, serialized by the sweep's callback mutex) with
-// the cell index and the assembled row. Cells complete in nondeterministic
-// order under parallelism, but each streamed row is byte-identical to the
-// row at the same index in the returned slice — the serving daemon streams
-// partial grid results through this hook.
-//
-// Aggregation is streaming and memory-bounded: raw replica Results are held
-// only while their cell is in flight and released the moment the cell's row
-// folds, so peak memory is O(active cells × seeds), not O(grid × seeds) —
-// a 1000+-cell grid keeps the footprint of the handful of cells the worker
-// pool is actually running. A caller-installed sw.OnResult still fires,
-// before the grid's own bookkeeping, for every replica.
-func GridSweepStream(g Grid, sw experiments.Sweep, onRow func(cell int, row GridRow)) ([]GridRow, error) {
-	cells, sw, slo, err := g.resolve(sw)
-	if err != nil {
-		return nil, err
-	}
-	// The pool flattens jobs cell-major: flat index i is cell i/perCell,
-	// replica i%perCell. Pending buffers are allocated on a cell's first
-	// replica and dropped with its last; the pool serializes OnResult, so
-	// the bookkeeping needs no extra locking.
-	perCell := len(sw.Seeds)
-	rows := make([]GridRow, len(cells))
-	pending := make([][]experiments.Result, len(cells))
-	remaining := make([]int, len(cells))
-	for i := range cells {
-		remaining[i] = perCell
-	}
-	prev := sw.OnResult
-	sw.OnResult = func(i int, r experiments.Result, fromCache bool) {
-		if prev != nil {
-			prev(i, r, fromCache)
-		}
+	landed := make([]int, len(cells))
+	sw.Run(cells, func(i int, cr experiments.CellResult, _ bool) {
 		cell := i / perCell
 		if pending[cell] == nil {
-			pending[cell] = make([]experiments.Result, perCell)
+			pending[cell] = make([]experiments.CellResult, perCell)
 		}
-		pending[cell][i%perCell] = r
-		if remaining[cell]--; remaining[cell] == 0 {
-			rows[cell] = buildRow(pending[cell], slo)
+		pending[cell][i%perCell] = cr
+		if landed[cell]++; landed[cell] == perCell {
+			rows[cell] = buildRowFT(cells[cell], pending[cell], slo)
 			pending[cell] = nil // release: the row keeps aggregates, not Results
 			if onRow != nil {
 				onRow(cell, rows[cell])
 			}
 		}
-	}
-	sw.RunCellsStream(cells)
+	})
 	return rows, nil
 }
 

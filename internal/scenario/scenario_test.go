@@ -75,8 +75,8 @@ func TestGridParallelMatchesSerial(t *testing.T) {
 	if len(cells) < 3*2*2 {
 		t.Fatalf("grid too small for the acceptance criterion: %d cells", len(cells))
 	}
-	serial := experiments.RunAll(cells, 1)
-	par := experiments.RunAll(cells, 8)
+	serial := runEach(cells, 1)
+	par := runEach(cells, 8)
 	for i := range serial {
 		sf, pf := serial[i].Fingerprint(), par[i].Fingerprint()
 		if sf != pf {
@@ -96,7 +96,7 @@ func TestGridSweepReplicates(t *testing.T) {
 		Policies: []string{"fixed", "reactive-queue"},
 		Fleets:   []string{"homog", "hetero-speed"},
 	}
-	rows, err := GridSweep(g, experiments.Sweep{Seeds: []int64{1, 2, 3}})
+	rows, err := GridSweepStream(g, experiments.Sweep{Seeds: []int64{1, 2, 3}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

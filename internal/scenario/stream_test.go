@@ -50,9 +50,10 @@ func TestGridSweepStreamMatchesReturn(t *testing.T) {
 	}
 }
 
-// GridSweep (no callback) and GridSweepStream produce identical rows — the
-// streaming hook must not perturb results.
-func TestGridSweepStreamEquivalentToGridSweep(t *testing.T) {
+// GridSweepStream's rows equal the rows BuildRow folds from RunCells'
+// replicas — the streaming bookkeeping (flat-index routing, per-cell
+// buffering and release) must not perturb results.
+func TestGridSweepStreamEquivalentToRunCells(t *testing.T) {
 	g := Grid{
 		Avail:    []string{"crunch"},
 		Policies: []string{"fixed", "reactive-queue"},
@@ -60,20 +61,24 @@ func TestGridSweepStreamEquivalentToGridSweep(t *testing.T) {
 		Seed:     2,
 	}
 	sw := experiments.Sweep{Parallel: 2, Seeds: experiments.SeedRange(2, 2)}
-	plain, err := GridSweep(g, sw)
+	cells, err := g.Cells()
 	if err != nil {
 		t.Fatal(err)
+	}
+	var want []GridRow
+	for _, rs := range sw.RunCells(cells) {
+		want = append(want, BuildRow(rs, DefaultSLO))
 	}
 	streamed, err := GridSweepStream(g, sw, func(int, GridRow) {})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if RenderGrid(plain) != RenderGrid(streamed) {
+	if RenderGrid(want) != RenderGrid(streamed) {
 		t.Fatal("streaming changed the rendered grid")
 	}
-	for i := range plain {
-		if fmt.Sprint(plain[i].Fingerprints) != fmt.Sprint(streamed[i].Fingerprints) {
-			t.Fatalf("cell %d: fingerprints differ between GridSweep and GridSweepStream", i)
+	for i := range want {
+		if fmt.Sprintf("%+v", want[i]) != fmt.Sprintf("%+v", streamed[i]) {
+			t.Fatalf("cell %d: streamed row differs from the RunCells row", i)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -21,21 +22,21 @@ func tolerantGrid() Grid {
 	}
 }
 
-// A fault-free tolerant sweep must be byte-identical to the classic sweep —
-// rows and render — even with a generous retry policy configured.
+// A fault-free sweep with a generous retry policy configured must be
+// byte-identical to a plain sweep — returned rows, streamed rows and render.
 func TestGridSweepTolerantMatchesClassicFaultFree(t *testing.T) {
 	g := tolerantGrid()
 	sw := experiments.Sweep{Parallel: 4, Seeds: experiments.SeedRange(1, 2)}
-	classic, err := GridSweep(g, sw)
+	plain, err := GridSweepStream(g, sw, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tolSw := sw
-	tolSw.Retry = experiments.RetryPolicy{MaxAttempts: 4, Backoff: time.Second,
+	retrySw := sw
+	retrySw.Retry = experiments.RetryPolicy{MaxAttempts: 4, Backoff: time.Second,
 		Sleep: func(time.Duration) { t.Error("fault-free sweep slept a backoff") }}
 	var mu sync.Mutex
 	streamed := map[int]GridRow{}
-	tolerant, err := GridSweepTolerant(g, tolSw, func(cell int, row GridRow) {
+	retrying, err := GridSweepStream(g, retrySw, func(cell int, row GridRow) {
 		mu.Lock()
 		streamed[cell] = row
 		mu.Unlock()
@@ -43,19 +44,19 @@ func TestGridSweepTolerantMatchesClassicFaultFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tolerant) != len(classic) {
-		t.Fatalf("%d tolerant rows, %d classic", len(tolerant), len(classic))
+	if len(retrying) != len(plain) {
+		t.Fatalf("%d retry-configured rows, %d plain", len(retrying), len(plain))
 	}
-	for i := range classic {
-		if fmt.Sprintf("%+v", tolerant[i]) != fmt.Sprintf("%+v", classic[i]) {
-			t.Errorf("cell %d: tolerant row differs from classic row", i)
+	for i := range plain {
+		if fmt.Sprintf("%+v", retrying[i]) != fmt.Sprintf("%+v", plain[i]) {
+			t.Errorf("cell %d: retry-configured row differs from plain row", i)
 		}
-		if fmt.Sprintf("%+v", streamed[i]) != fmt.Sprintf("%+v", classic[i]) {
-			t.Errorf("cell %d: streamed tolerant row differs from classic row", i)
+		if fmt.Sprintf("%+v", streamed[i]) != fmt.Sprintf("%+v", plain[i]) {
+			t.Errorf("cell %d: streamed retry-configured row differs from plain row", i)
 		}
 	}
-	if RenderGrid(tolerant) != RenderGrid(classic) {
-		t.Fatal("fault-free tolerant render differs from classic render")
+	if RenderGrid(retrying) != RenderGrid(plain) {
+		t.Fatal("fault-free retry-configured render differs from plain render")
 	}
 }
 
@@ -64,7 +65,7 @@ func TestGridSweepTolerantMatchesClassicFaultFree(t *testing.T) {
 func TestGridSweepTolerantTransientHeals(t *testing.T) {
 	g := tolerantGrid()
 	sw := experiments.Sweep{Parallel: 2, Seeds: experiments.SeedRange(1, 2)}
-	clean, err := GridSweepTolerant(g, sw, nil)
+	clean, err := GridSweepStream(g, sw, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestGridSweepTolerantTransientHeals(t *testing.T) {
 	faulted := sw
 	faulted.Retry = experiments.RetryPolicy{MaxAttempts: 3, Sleep: func(time.Duration) {}}
 	faulted.Inject = plan.Hook()
-	rows, err := GridSweepTolerant(g, faulted, nil)
+	rows, err := GridSweepStream(g, faulted, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestGridSweepTolerantTransientHeals(t *testing.T) {
 func TestGridSweepTolerantPanicDegrades(t *testing.T) {
 	g := tolerantGrid()
 	sw := experiments.Sweep{Parallel: 4, Seeds: experiments.SeedRange(1, 2)}
-	clean, err := GridSweepTolerant(g, sw, nil)
+	clean, err := GridSweepStream(g, sw, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestGridSweepTolerantPanicDegrades(t *testing.T) {
 	plan := faults.Plan{Kind: faults.CellPanic, Seed: 1, Cells: []int{2, 3}}
 	faulted := sw
 	faulted.Inject = plan.Hook()
-	rows, err := GridSweepTolerant(g, faulted, nil)
+	rows, err := GridSweepStream(g, faulted, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,6 +148,25 @@ func TestGridSweepTolerantPanicDegrades(t *testing.T) {
 	for _, cell := range []int{0, 2, 3} {
 		if cleanLines[2+cell] != faultLines[2+cell] {
 			t.Errorf("render line for healthy cell %d differs under faults", cell)
+		}
+	}
+}
+
+// A cancelled context turns every unstarted cell into an error row carrying
+// the cancellation and its axes; nothing simulates.
+func TestGridSweepTolerantCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	sw := experiments.Sweep{Parallel: 2, Context: ctx, OnResult: func(int, experiments.Result, bool) {
+		t.Error("a cell simulated under a cancelled context")
+	}}
+	rows, err := GridSweepStream(tolerantGrid(), sw, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range rows {
+		if r.Err != context.Canceled.Error() || r.Avail == "" || r.Fleet == "" {
+			t.Fatalf("cell %d: row %+v, want a cancelled error row with its axes", i, r)
 		}
 	}
 }

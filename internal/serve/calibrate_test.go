@@ -7,8 +7,10 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"spotserve/internal/calibrate"
+	"spotserve/internal/faults"
 )
 
 // smallObserved exports a two-seed simulated run as an observed trace — the
@@ -127,5 +129,69 @@ func TestRepeatCalibrateServedFromCache(t *testing.T) {
 	if second.CacheHits != replicas || second.CacheMisses != 0 {
 		t.Fatalf("second job: %d hits / %d misses, want %d / 0",
 			second.CacheHits, second.CacheMisses, replicas)
+	}
+}
+
+// DELETE reaches a running calibrate job: the replay runs on the job's
+// sweep, so the stalled first replica completes once released, the second
+// short-circuits, and the job ends cancelled — status, done-line and /stats.
+func TestDeleteCancelsRunningCalibrateJob(t *testing.T) {
+	entered := make(chan struct{}, 16)
+	release := make(chan struct{})
+	s, ts := newTestServer(t, Options{
+		Parallel: 1,
+		Faults: &faults.Plan{
+			Kind: faults.SlowCell, Seed: 1, Rate: 1,
+			Sleep: func(time.Duration) { entered <- struct{}{}; <-release },
+		},
+	})
+	id := submitCalibrate(t, ts, smallObserved(t))
+	streamResp, err := http.Get(ts.URL + "/jobs/" + id + "/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer streamResp.Body.Close()
+
+	select {
+	case <-entered: // the first replica is stalled mid-attempt
+	case <-time.After(30 * time.Second):
+		t.Fatal("no replica entered the stall gate — the replay ignores the job's fault hook")
+	}
+	if !cancelJob(t, ts, id) {
+		t.Fatal("DELETE on a running calibrate job reported cancelled=false")
+	}
+	close(release)
+
+	st := waitDone(t, s, id)
+	if st.State != StateCancelled || !strings.Contains(st.Error, "cancelled by client") {
+		t.Fatalf("state %s (%s), want cancelled by client", st.State, st.Error)
+	}
+	if state := doneLine(t, streamResp.Body); state != StateCancelled {
+		t.Fatalf("done-line state %q, want cancelled", state)
+	}
+	if stats := s.StatsSnapshot(); stats.JobsCancelled != 1 {
+		t.Fatalf("stats %+v, want 1 cancelled job", stats)
+	}
+}
+
+// A calibrate job's deadline cuts its replay short: the first replica
+// stalls past the deadline, the second never runs, and the job ends in the
+// deadline state without a row or report. POST /calibrate takes no
+// deadline, so the test sets one as the job starts.
+func TestCalibrateDeadlineExpires(t *testing.T) {
+	s, ts := newTestServer(t, Options{
+		Parallel: 1,
+		Faults:   &faults.Plan{Kind: faults.SlowCell, Seed: 1, Rate: 1, Stall: 200 * time.Millisecond},
+	})
+	s.testJobStart = func(j *Job) { j.deadline = 50 * time.Millisecond }
+	st := waitDone(t, s, submitCalibrate(t, ts, smallObserved(t)))
+	if st.State != StateDeadline || !strings.Contains(st.Error, "deadline") {
+		t.Fatalf("state %s (%s), want deadline", st.State, st.Error)
+	}
+	if len(st.Rows) != 0 || st.Calibration != nil {
+		t.Fatalf("%d rows, report %v: a replay cut short by its deadline must not score", len(st.Rows), st.Calibration != nil)
+	}
+	if stats := s.StatsSnapshot(); stats.JobsDeadline != 1 {
+		t.Fatalf("stats %+v, want 1 deadline job", stats)
 	}
 }

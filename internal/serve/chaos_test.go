@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -190,21 +191,8 @@ func TestDeleteCancelsRunningJob(t *testing.T) {
 		t.Fatalf("error %q", st.Error)
 	}
 	// The stream must terminate with a cancelled done-line.
-	var lastLine []byte
-	sc := bufio.NewScanner(streamResp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	for sc.Scan() {
-		lastLine = append(lastLine[:0], sc.Bytes()...)
-	}
-	var term struct {
-		Done  bool  `json:"done"`
-		State State `json:"state"`
-	}
-	if err := json.Unmarshal(lastLine, &term); err != nil {
-		t.Fatalf("bad terminal line %q: %v", lastLine, err)
-	}
-	if !term.Done || term.State != StateCancelled {
-		t.Fatalf("done-line %+v, want cancelled", term)
+	if state := doneLine(t, streamResp.Body); state != StateCancelled {
+		t.Fatalf("done-line state %q, want cancelled", state)
 	}
 	// A second DELETE is a no-op on a terminal job.
 	if cancelJob(t, ts, id) {
@@ -213,6 +201,26 @@ func TestDeleteCancelsRunningJob(t *testing.T) {
 	if stats := s.StatsSnapshot(); stats.JobsCancelled != 1 {
 		t.Fatalf("stats %+v, want 1 cancelled job", stats)
 	}
+}
+
+// doneLine reads an NDJSON job stream to its end and returns the state its
+// terminal done-line reports.
+func doneLine(t *testing.T, body io.Reader) State {
+	t.Helper()
+	var lastLine []byte
+	sc := bufio.NewScanner(body)
+	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	for sc.Scan() {
+		lastLine = append(lastLine[:0], sc.Bytes()...)
+	}
+	var term struct {
+		Done  bool  `json:"done"`
+		State State `json:"state"`
+	}
+	if err := json.Unmarshal(lastLine, &term); err != nil || !term.Done {
+		t.Fatalf("bad terminal line %q: %v", lastLine, err)
+	}
+	return term.State
 }
 
 // DELETE on a queued job cancels it before it ever runs.

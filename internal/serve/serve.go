@@ -36,8 +36,8 @@
 // Jobs run fault-isolated: one failing cell degrades to an n/a row, the
 // rest of the grid completes, and the job ends "degraded" rather than
 // "failed". Per-job deadlines (spec deadline_ms) and DELETE cancellation
-// are cooperative — cells already simulating finish (and stay
-// byte-identical), cells not yet started short-circuit.
+// act on both job kinds and are cooperative — cells already simulating
+// finish (and stay byte-identical), cells not yet started short-circuit.
 package serve
 
 import (
@@ -151,10 +151,11 @@ func (s *Server) run() {
 	}
 }
 
-// runJob executes one job through the fault-tolerant streaming grid sweep.
-// Cell failures degrade to error rows (the job ends "degraded"), a client
+// runJob executes one job. Both kinds run on one sweep built here — worker
+// pool, job context, retry policy, counting cache and chaos hook — so cell
+// failures degrade to error rows (a grid job ends "degraded"), a client
 // cancel or expired deadline short-circuits the sweep cooperatively, and a
-// whole-job panic still fails the job rather than the daemon.
+// whole-job error or panic fails the job rather than the daemon.
 func (s *Server) runJob(job *Job) {
 	defer func() {
 		s.mu.Lock()
@@ -190,6 +191,17 @@ func (s *Server) runJob(job *Job) {
 		}
 	}()
 
+	sw := job.Spec.Sweep()
+	sw.Parallel = s.opts.Parallel
+	sw.Context = ctx
+	sw.Retry = s.opts.Retry
+	counting := s.jobCache()
+	if counting != nil {
+		sw.Cache = counting
+	}
+	if s.opts.Faults != nil {
+		sw.Inject = s.opts.Faults.Hook()
+	}
 	var o outcome
 	cells := 0
 	err := func() (err error) {
@@ -199,24 +211,24 @@ func (s *Server) runJob(job *Job) {
 			}
 		}()
 		if job.Kind == KindCalibrate {
-			return s.runCalibrate(job, &o)
+			// Replay the observed trace's scenario, stream its single row,
+			// and keep the tolerance-scored report — byte-identical to the
+			// `experiments -exp calibrate` CLI path.
+			rep, err := calibrate.Run(*job.Observed, calibrate.Options{
+				Sweep: sw,
+				OnRow: func(row scenario.GridRow) { job.emit(Row{Cell: 0, GridRow: row}) },
+			})
+			if err != nil {
+				return err
+			}
+			o.render, o.calibration = rep.Render(), rep
+			return nil
 		}
 		grid, err := job.Spec.Grid()
 		if err != nil {
 			return err
 		}
-		sw := job.Spec.Sweep()
-		sw.Parallel = s.opts.Parallel
-		sw.Context = ctx
-		sw.Retry = s.opts.Retry
-		counting := s.jobCache()
-		if counting != nil {
-			sw.Cache = counting
-		}
-		if s.opts.Faults != nil {
-			sw.Inject = s.opts.Faults.Hook()
-		}
-		rows, err := scenario.GridSweepTolerant(grid, sw, func(cell int, row scenario.GridRow) {
+		rows, err := scenario.GridSweepStream(grid, sw, func(cell int, row scenario.GridRow) {
 			job.emit(Row{Cell: cell, GridRow: row})
 		})
 		if err != nil {
@@ -230,22 +242,24 @@ func (s *Server) runJob(job *Job) {
 				o.failedCells++
 			}
 		}
-		if counting != nil {
-			o.hits, o.misses = counting.counts()
-		}
 		return nil
 	}()
+	if counting != nil {
+		o.hits, o.misses = counting.counts()
+	}
 
 	// Classify the terminal state: an explicit cancel or expired deadline
-	// wins over degradation (the n/a rows are a consequence, not a cause);
-	// all-cells-failed is a failure, partial failure is degradation.
+	// wins over everything else — the n/a rows of a grid job and the replay
+	// error of a calibrate job are their consequence, not a cause; then a
+	// whole-job error fails the job; all-cells-failed is a failure, partial
+	// failure is degradation.
 	switch {
-	case err != nil:
-		o.state, o.errMsg = StateFailed, err.Error()
 	case job.isCancelled():
 		o.state, o.errMsg = StateCancelled, "cancelled by client"
 	case errors.Is(ctx.Err(), context.DeadlineExceeded):
 		o.state, o.errMsg = StateDeadline, fmt.Sprintf("deadline %v exceeded", job.deadline)
+	case err != nil:
+		o.state, o.errMsg = StateFailed, err.Error()
 	case cells > 0 && o.failedCells == cells:
 		o.state, o.errMsg = StateFailed, fmt.Sprintf("all %d cells failed", cells)
 	case o.failedCells > 0:
@@ -259,8 +273,7 @@ func (s *Server) runJob(job *Job) {
 // jobCache assembles one job's counting cache view over the shared cell
 // store (nil when the cache is disabled). In chaos mode the outage wrapper
 // sits between the counter and the store, so an outage is attributed as a
-// miss. Shared by grid and calibrate jobs, so cache semantics cannot drift
-// between the two kinds.
+// miss.
 func (s *Server) jobCache() *countingCache {
 	if s.cache == nil {
 		return nil
@@ -270,34 +283,6 @@ func (s *Server) jobCache() *countingCache {
 		rc = s.opts.Faults.WrapCache(rc)
 	}
 	return &countingCache{inner: rc}
-}
-
-// runCalibrate executes a calibrate job: replay the observed trace's
-// scenario through the shared cell cache, stream the single replayed row,
-// and record the tolerance-scored report. The render and report are
-// byte-identical to the `experiments -exp calibrate` CLI path — the
-// equivalence test pins it.
-func (s *Server) runCalibrate(job *Job, o *outcome) error {
-	opts := calibrate.Options{
-		Parallel: s.opts.Parallel,
-		OnRow: func(row scenario.GridRow) {
-			job.emit(Row{Cell: 0, GridRow: row})
-		},
-	}
-	counting := s.jobCache()
-	if counting != nil {
-		opts.Cache = counting
-	}
-	rep, err := calibrate.Run(*job.Observed, opts)
-	if err != nil {
-		return err
-	}
-	o.render = rep.Render()
-	o.calibration = rep
-	if counting != nil {
-		o.hits, o.misses = counting.counts()
-	}
-	return nil
 }
 
 // Handler returns the daemon's HTTP routes.

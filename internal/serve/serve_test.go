@@ -79,15 +79,15 @@ func waitDone(t *testing.T, s *Server, id string) Status {
 
 // The determinism contract: a daemon job's rendered table and per-row
 // replica fingerprints are byte-identical to the equivalent CLI path
-// (scenario.GridSweep + RenderGrid at the same seed, which is exactly what
-// `experiments -exp scenarios` prints).
+// (scenario.GridSweepStream + RenderGrid at the same seed, which is exactly
+// what `experiments -exp scenarios` prints).
 func TestJobMatchesCLIRun(t *testing.T) {
 	spec := smallSpec()
 	grid, err := spec.Grid()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cliRows, err := scenario.GridSweep(grid, spec.Sweep())
+	cliRows, err := scenario.GridSweepStream(grid, spec.Sweep(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
