@@ -42,8 +42,14 @@ vet:
 # suppressions require `//detlint:allow <analyzer> — <reason>`. See
 # docs/ANALYSIS.md. Also usable as `go vet -vettool`:
 #   go build -o /tmp/detlint ./cmd/detlint && go vet -vettool=/tmp/detlint ./...
+# Then a formatting gate: every Go file of the root module must be
+# gofmt-clean, checked with the gofmt of $(GO)'s toolchain (benchmark/ is its
+# own module; hidden directories such as the benchmark's build cache are
+# skipped).
 lint:
 	$(GO) run ./cmd/detlint ./...
+	@bad=$$("$$($(GO) env GOROOT)/bin/gofmt" -l $$(find . -name '*.go' -not -path './benchmark/*' -not -path './.*')); \
+		if [ -n "$$bad" ]; then echo "gofmt -l: files need formatting:"; echo "$$bad"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -61,9 +67,11 @@ race-engine:
 	$(GO) test -race ./internal/engine/ ./internal/sim/
 
 # Focused race gate on the reconfiguration pipeline and the control plane
-# that drives it: the per-server memos and the process-wide shared cost
-# profile are exercised concurrently by the sweep pool, so these two
-# packages get an explicit first-class -race run (fast to iterate on).
+# that drives it: the sweep pool runs both on every worker, sharing the
+# pooled mapper, planner and KM workspaces and the process-wide cost
+# profile, so these two packages get an explicit first-class -race run
+# (fast to iterate on). TestConcurrentMapPlanMatchesSerial is the test that
+# shares those workspaces between goroutines.
 race-reconfig:
 	$(GO) test -race ./internal/reconfig/ ./internal/core/
 

@@ -288,14 +288,14 @@ func parsePrometheus(data []byte) (ObservedTrace, error) {
 
 // promAliases maps exporter metric names onto the canonical vocabulary.
 var promAliases = map[string]string{
-	"latency_avg_seconds":     MetricLatencyAvg,
-	"requests_per_second":     MetricThroughputRPS,
+	"latency_avg_seconds":      MetricLatencyAvg,
+	"requests_per_second":      MetricThroughputRPS,
 	"requests_completed_total": MetricCompleted,
-	"spend_usd_total":         MetricSpendUSD,
-	"cost_per_1k_tokens_usd":  MetricCostPer1kTok,
-	"preemptions_total":       MetricPreemptions,
-	"on_demand_total":         MetricOnDemand,
-	"slo_met_percent":         MetricSLOPct,
+	"spend_usd_total":          MetricSpendUSD,
+	"cost_per_1k_tokens_usd":   MetricCostPer1kTok,
+	"preemptions_total":        MetricPreemptions,
+	"on_demand_total":          MetricOnDemand,
+	"slo_met_percent":          MetricSLOPct,
 }
 
 // promKey maps one Prometheus sample's labels to a canonical metric key.

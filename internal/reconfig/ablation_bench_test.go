@@ -5,6 +5,7 @@ import (
 
 	"spotserve/internal/config"
 	"spotserve/internal/cost"
+	"spotserve/internal/km"
 	"spotserve/internal/model"
 )
 
@@ -186,18 +187,34 @@ func BenchmarkMigrationVsReload(b *testing.B) {
 	b.ReportMetric(reload/mig, "advantage_x")
 }
 
-// BenchmarkDeviceMapping measures mapper latency at fleet scale (48 GPUs).
+// BenchmarkDeviceMapping measures mapper latency at fleet scale (48 GPUs,
+// a reconfiguration that reshapes both P and M). cold solves every
+// sub-matching through the pooled solver, where the O(n³) KM cost dominates;
+// warm maps through a primed km.Cache — what every serving system's engine
+// runs — so the weight pricing and matrix assembly are what it times.
 func BenchmarkDeviceMapping(b *testing.B) {
 	spec := model.GPT20B
 	old := config.Config{D: 3, P: 2, M: 8, B: 1}
 	target := config.Config{D: 4, P: 3, M: 4, B: 1}
 	gpus := mkGPUs(12, 4)
 	devs := devicesFor(spec, gpus, old)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := MapDevices(spec, devs, target, MapperOptions{UseKM: true, Hierarchical: true}); err != nil {
-			b.Fatal(err)
+	run := func(b *testing.B, opt MapperOptions) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := MapDevices(spec, devs, target, opt); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
+	b.Run("cold", func(b *testing.B) {
+		run(b, MapperOptions{UseKM: true, Hierarchical: true})
+	})
+	b.Run("warm", func(b *testing.B) {
+		opt := MapperOptions{UseKM: true, Hierarchical: true, KM: km.NewCache(0)}
+		if _, err := MapDevices(spec, devs, target, opt); err != nil {
+			b.Fatal(err)
+		}
+		run(b, opt)
+	})
 }

@@ -1,6 +1,10 @@
 package reconfig
 
 import (
+	"fmt"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 
 	"spotserve/internal/config"
@@ -86,6 +90,108 @@ func TestEnginePipelineEquivalence(t *testing.T) {
 	}
 	if cs.HitRate() <= 0 || cs.HitRate() > 1 {
 		t.Fatalf("hit rate %v out of range", cs.HitRate())
+	}
+}
+
+// writeMapPlan appends a bit-exact rendering of a mapping and its plan.
+func writeMapPlan(b *strings.Builder, m Mapping, pl *Plan) {
+	for _, pos := range m.Target.Positions() {
+		fmt.Fprintf(b, "%d ", m.Assign[pos].ID)
+	}
+	for _, g := range m.Spare {
+		fmt.Fprintf(b, "s%d ", g.ID)
+	}
+	fmt.Fprintf(b, "| %x %x %x | %x %x %v |", m.ReusedModelBytes, m.ReusedCacheBytes,
+		m.TotalModelBytes, pl.TotalBytes, pl.StorageBytes, pl.LayerOrder)
+	for _, trs := range append([][]Transfer{pl.Cache}, pl.ByLayer...) {
+		for _, tr := range trs {
+			from := int64(-1)
+			if tr.From != nil {
+				from = tr.From.ID
+			}
+			fmt.Fprintf(b, " %d:%d<-%d %x %v", tr.Layer, tr.To.ID, from, tr.Bytes, tr.Inter)
+		}
+	}
+	ids := make([]int64, 0, len(pl.PeakBufferBytes))
+	for id := range pl.PeakBufferBytes {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		fmt.Fprintf(b, " %d=%x", id, pl.PeakBufferBytes[id])
+	}
+	b.WriteByte('\n')
+}
+
+// TestConcurrentMapPlanMatchesSerial maps and plans distinct fleets from
+// several goroutines at once, as the sweep pool's workers do, so the
+// pooled workspaces (mapWSPool, planWSPool, solverPool) pass between
+// goroutines. Each goroutine owns its engines and KM memos, as each
+// simulated server does; every result must match a serial run.
+func TestConcurrentMapPlanMatchesSerial(t *testing.T) {
+	fleets := mapFleets()
+	run := func(f mapFleet) (string, error) {
+		var b strings.Builder
+		// Cold: the pooled solver, then the planner.
+		m, err := MapDevices(f.spec, f.devs, f.target, MapperOptions{
+			UseKM: true, Hierarchical: true, Inherit: f.inherit,
+		})
+		if err != nil {
+			return "", err
+		}
+		eng := testEngine(f.spec, false)
+		pl, err := PlanMigration(f.spec, eng.opts.Est, f.devs, m, eng.PlanOptions(f.inherit))
+		if err != nil {
+			return "", err
+		}
+		writeMapPlan(&b, m, pl)
+		// Warm: the engine's own km.Cache and memos; round 1 replays them.
+		for round := 0; round < 2; round++ {
+			m, err := eng.Map(f.devs, f.target, f.inherit)
+			if err != nil {
+				return "", err
+			}
+			pl, err := eng.Plan(f.devs, m, f.inherit)
+			if err != nil {
+				return "", err
+			}
+			writeMapPlan(&b, m, pl)
+		}
+		return b.String(), nil
+	}
+	want := make([]string, len(fleets))
+	for i, f := range fleets {
+		var err error
+		if want[i], err = run(f); err != nil {
+			t.Fatalf("%s: %v", f.name, err)
+		}
+	}
+
+	const workers = 4
+	errs := make(chan error, workers*2*len(fleets))
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			// Goroutines start at different fleets, so distinct fleets
+			// are mapped at the same time.
+			for r := 0; r < 2*len(fleets); r++ {
+				i := (w + r) % len(fleets)
+				got, err := run(fleets[i])
+				if err == nil && got != want[i] {
+					err = fmt.Errorf("result differs from the serial run:\n%s\nwant:\n%s", got, want[i])
+				}
+				if err != nil {
+					errs <- fmt.Errorf("goroutine %d, %s: %w", w, fleets[i].name, err)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 

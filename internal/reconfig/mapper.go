@@ -17,17 +17,18 @@ import (
 var solverPool = sync.Pool{New: func() any { return km.NewSolver() }}
 
 // mapWS pools MapDevices' transient scratch — the sorted device copy, the
-// per-position rectangles, the used set and the matching workspaces (cost
-// matrices, instance grouping, per-pair assignments). Everything retained
-// by the returned Mapping (Assign, flat, Spare) stays freshly allocated:
-// mappings are memoized and shared, so only strictly call-local storage is
-// pooled.
+// per-(stage, shard) rectangles, the reuse table, the used set and the
+// matching workspaces (cost matrices, instance grouping, per-pair
+// assignments). Everything retained by the returned Mapping (Assign, flat,
+// Spare) stays freshly allocated: mappings are memoized and shared, so only
+// strictly call-local storage is pooled.
 type mapWS struct {
 	devs  []DeviceContext
 	rects []model.Rect
 	used  []bool
 	bonus []float64
 	left  []int
+	reuse reuseTable
 	// hierarchical/flat matching scratch.
 	mat       scratchMatrix
 	sub       scratchMatrix
@@ -140,6 +141,97 @@ func edgeWeights(spec model.Spec, u DeviceContext, want model.Rect, v config.Pos
 	return modelBytes, cacheBytes
 }
 
+// stageShardRects returns the target's context rectangles indexed by
+// (stage, shard) k = p·M + m, backed by *buf; they serve every pipeline.
+func stageShardRects(spec model.Spec, target config.Config, buf *[]model.Rect) []model.Rect {
+	pm := target.P * target.M
+	if cap(*buf) < pm {
+		*buf = make([]model.Rect, pm)
+	}
+	rects := (*buf)[:pm]
+	for p := 0; p < target.P; p++ {
+		for m := 0; m < target.M; m++ {
+			rects[p*target.M+m] = model.PositionRect(spec, target.P, target.M, p, m)
+		}
+	}
+	return rects
+}
+
+// reuseTable holds the matching weights of one MapDevices call. A
+// position's rectangle depends only on its (stage, shard), and its pipeline
+// enters edgeWeights only through the cache-inheritance guard, so each
+// device's model and cache overlaps are priced once per (stage, shard) of
+// the target — not once per position in every pipeline — and rectangles
+// that do not intersect are skipped. weight assembles a position's value
+// from index slices with edgeWeights' float operations, so every matrix
+// the matchings hand to KM is bit-identical to pricing each cell afresh.
+type reuseTable struct {
+	pm int // P·M: the row stride of model and cache
+	// model[i*pm+k] / cache[i*pm+k] are edgeWeights' modelBytes /
+	// cacheBytes (the latter with its guard passed) for device i at
+	// (stage, shard) k = p·M + m.
+	model []float64
+	cache []float64
+	// cell[j] is position j's (stage, shard) k; inherits[j] is the old
+	// pipeline its new pipeline inherits (-1 for none).
+	cell     []int
+	inherits []int
+	// held[i] is the old pipeline of device i's resident KV cache (-1 for
+	// none).
+	held []int
+}
+
+// build prices devs against the target's (stage, shard) rectangles (from
+// stageShardRects).
+func (t *reuseTable) build(spec model.Spec, devs []DeviceContext, positions []config.Position, target config.Config, rects []model.Rect, inherit map[int]int) {
+	pm := len(rects)
+	t.pm = pm
+	t.cell = intsFor(&t.cell, len(positions))
+	t.inherits = intsFor(&t.inherits, len(positions))
+	for j, pos := range positions {
+		t.cell[j] = pos.P*target.M + pos.M
+		t.inherits[j] = -1
+		if oldD, ok := inherit[pos.D]; ok {
+			t.inherits[j] = oldD
+		}
+	}
+	t.held = intsFor(&t.held, len(devs))
+	t.model = floatsFor(&t.model, len(devs)*pm)
+	t.cache = floatsFor(&t.cache, len(devs)*pm)
+	layerBytes := spec.LayerParamBytes()
+	kvBytes := spec.KVBytesPerTokenLayer()
+	for i := range devs {
+		u := &devs[i]
+		row := i * pm
+		for k := range rects {
+			if r := u.ModelCtx.Intersect(rects[k]); !r.Empty() {
+				t.model[row+k] = float64(r.Layers()) * r.FracWidth() * layerBytes
+			}
+		}
+		t.held[i] = -1
+		if u.CachePipeline >= 0 && u.CacheTokens > 0 {
+			t.held[i] = u.CachePipeline
+			for k := range rects {
+				if r := u.CacheRect.Intersect(rects[k]); !r.Empty() {
+					t.cache[row+k] = float64(u.CacheTokens) * kvBytes *
+						float64(r.Layers()) * r.FracWidth()
+				}
+			}
+		}
+	}
+}
+
+// weight returns edgeWeights' modelBytes + cacheBytes for device i at
+// position j.
+func (t *reuseTable) weight(i, j int) float64 {
+	k := i*t.pm + t.cell[j]
+	cb := 0.0
+	if h := t.held[i]; h >= 0 && h == t.inherits[j] {
+		cb = t.cache[k]
+	}
+	return t.model[k] + cb
+}
+
 // MapDevices maps available GPUs onto the pipeline-stage-shard positions of
 // the target configuration, maximizing reusable context bytes. It returns
 // an error when fewer GPUs are available than the target needs.
@@ -164,14 +256,9 @@ func MapDevices(spec model.Spec, devices []DeviceContext, target config.Config, 
 		Target: target,
 		Assign: make(map[config.Position]*cloud.GPU, need),
 	}
-	// Position rectangles are shared by every weight computation below.
-	if cap(ws.rects) < len(positions) {
-		ws.rects = make([]model.Rect, len(positions))
-	}
-	rects := ws.rects[:len(positions)]
-	for i, pos := range positions {
-		rects[i] = model.PositionRect(spec, target.P, target.M, pos.P, pos.M)
-		m.TotalModelBytes += rects[i].ParamBytes(spec)
+	rects := stageShardRects(spec, target, &ws.rects)
+	for _, pos := range positions {
+		m.TotalModelBytes += rects[pos.P*target.M+pos.M].ParamBytes(spec)
 	}
 
 	// solve routes through the caller's KM memo when provided, else a
@@ -190,19 +277,20 @@ func MapDevices(spec model.Spec, devices []DeviceContext, target config.Config, 
 
 	var left []int // indices into devs chosen for the mesh, aligned to positions
 	var err error
-	switch {
-	case !opt.UseKM:
+	if !opt.UseKM {
 		left = identityAssign(len(positions), ws)
-	case opt.Hierarchical:
-		left, err = hierarchicalMatch(solve, spec, devs, positions, rects, opt.Inherit, bonus, ws)
-		if err != nil {
+	} else {
+		tbl := &ws.reuse
+		tbl.build(spec, devs, positions, target, rects, opt.Inherit)
+		if opt.Hierarchical {
+			left, err = hierarchicalMatch(solve, devs, len(positions), tbl, bonus, ws)
+		}
+		if !opt.Hierarchical || err != nil {
 			// Irregular instance shapes (partially preempted instances,
 			// uneven blocks) break the block structure; fall back to the
 			// globally optimal flat matching.
-			left, err = flatMatch(solve, spec, devs, positions, rects, opt.Inherit, bonus, ws)
+			left, err = flatMatch(solve, devs, positions, tbl, bonus, ws)
 		}
-	default:
-		left, err = flatMatch(solve, spec, devs, positions, rects, opt.Inherit, bonus, ws)
 	}
 	if err != nil {
 		return Mapping{}, err
@@ -221,7 +309,7 @@ func MapDevices(spec model.Spec, devices []DeviceContext, target config.Config, 
 		m.Assign[pos] = devs[di].GPU
 		m.flat[pi] = devs[di].GPU
 		used[di] = true
-		mb, cb := edgeWeights(spec, devs[di], rects[pi], pos, opt.Inherit)
+		mb, cb := edgeWeights(spec, devs[di], rects[pos.P*target.M+pos.M], pos, opt.Inherit)
 		m.ReusedModelBytes += mb
 		m.ReusedCacheBytes += cb
 	}
@@ -277,15 +365,15 @@ func speedBonus(devs []DeviceContext, ws *mapWS) []float64 {
 // matrix and result live in pooled scratch (the KM memo hashes matrix
 // content without retaining it, and the caller consumes the result before
 // MapDevices returns).
-func flatMatch(solve func(km.Matrix) (km.Assignment, error), spec model.Spec, devs []DeviceContext, positions []config.Position, rects []model.Rect, inherit map[int]int, bonus []float64, ws *mapWS) ([]int, error) {
+func flatMatch(solve func(km.Matrix) (km.Assignment, error), devs []DeviceContext, positions []config.Position, tbl *reuseTable, bonus []float64, ws *mapWS) ([]int, error) {
 	w := ws.mat.sized(len(devs), len(positions))
-	for i, u := range devs {
-		for j, v := range positions {
-			mb, cb := edgeWeights(spec, u, rects[j], v, inherit)
-			w[i][j] = mb + cb
+	for i, row := range w {
+		for j := range row {
+			v := tbl.weight(i, j)
 			if bonus != nil {
-				w[i][j] += bonus[i]
+				v += bonus[i]
 			}
+			row[j] = v
 		}
 	}
 	a, err := solve(w)
@@ -308,7 +396,7 @@ func flatMatch(solve func(km.Matrix) (km.Assignment, error), spec model.Spec, de
 // per-pair GPU-level assignment. Consecutive positions share a stage
 // whenever M ≥ GPUs/instance, so tensor-parallel all-reduce groups land on
 // the fast intra-instance interconnect.
-func hierarchicalMatch(solve func(km.Matrix) (km.Assignment, error), spec model.Spec, devs []DeviceContext, positions []config.Position, rects []model.Rect, inherit map[int]int, bonus []float64, ws *mapWS) ([]int, error) {
+func hierarchicalMatch(solve func(km.Matrix) (km.Assignment, error), devs []DeviceContext, np int, tbl *reuseTable, bonus []float64, ws *mapWS) ([]int, error) {
 	// Group devices by instance (dense indices in first-touch order, which
 	// preserves device order): a counting pass sizes per-instance groups,
 	// then an arena holds them without per-instance allocations.
@@ -319,8 +407,8 @@ func hierarchicalMatch(solve func(km.Matrix) (km.Assignment, error), spec model.
 	}
 	instIdx := ws.instIdx
 	cnt := ws.instCnt[:0]
-	for _, d := range devs {
-		id := d.GPU.Inst.ID
+	for i := range devs {
+		id := devs[i].GPU.Inst.ID
 		if gi, ok := instIdx[id]; ok {
 			cnt[gi]++
 		} else {
@@ -346,17 +434,16 @@ func hierarchicalMatch(solve func(km.Matrix) (km.Assignment, error), spec model.
 	groups := ws.instGPUs[:ni]
 	off := 0
 	for gi, n := range cnt {
-		groups[gi] = arena[off:off : off+n]
+		groups[gi] = arena[off : off : off+n]
 		off += n
 	}
-	for i, d := range devs {
-		gi := instIdx[d.GPU.Inst.ID]
+	for i := range devs {
+		gi := instIdx[devs[i].GPU.Inst.ID]
 		groups[gi] = append(groups[gi], i)
 	}
 
 	// Position blocks are the `per`-sized consecutive ranges
 	// [bi*per, min((bi+1)*per, len)) — pure arithmetic, nothing to store.
-	np := len(positions)
 	nb := (np + per - 1) / per
 	blockLo := func(bi int) int { return bi * per }
 	blockHi := func(bi int) int {
@@ -390,13 +477,13 @@ func hierarchicalMatch(solve func(km.Matrix) (km.Assignment, error), spec model.
 			}
 			m := ws.sub.sized(len(gset), bn)
 			for a, di := range gset {
-				for b := 0; b < bn; b++ {
-					pj := lo + b
-					mb, cb := edgeWeights(spec, devs[di], rects[pj], positions[pj], inherit)
-					m[a][b] = mb + cb
+				row := m[a]
+				for b := range row {
+					v := tbl.weight(di, lo+b)
 					if bonus != nil {
-						m[a][b] += bonus[di]
+						v += bonus[di]
 					}
+					row[b] = v
 				}
 			}
 			sa, err := solve(m)

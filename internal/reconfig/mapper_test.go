@@ -1,10 +1,12 @@
 package reconfig
 
 import (
+	"math"
 	"testing"
 
 	"spotserve/internal/cloud"
 	"spotserve/internal/config"
+	"spotserve/internal/km"
 	"spotserve/internal/model"
 )
 
@@ -38,6 +40,107 @@ func devicesFor(spec model.Spec, gpus []*cloud.GPU, cfg config.Config) []DeviceC
 		out[i] = dc
 	}
 	return out
+}
+
+// withCaches gives every device holding a position of old that pipeline's
+// KV cache over its model shard (token counts differ per device).
+func withCaches(devs []DeviceContext, old config.Config) []DeviceContext {
+	for i, pos := range old.Positions() {
+		devs[i].CachePipeline = pos.D
+		devs[i].CacheRect = devs[i].ModelCtx
+		devs[i].CacheTokens = 64*(pos.D+1) + i
+	}
+	return devs
+}
+
+// mapFleet is one fabricated device-mapping problem.
+type mapFleet struct {
+	name    string
+	spec    model.Spec
+	devs    []DeviceContext
+	target  config.Config
+	inherit map[int]int
+	// flat marks a fleet whose instance shapes make the hierarchical match
+	// fail, so MapDevices takes the flat fallback.
+	flat bool
+}
+
+// mapFleets fabricates fleets covering every branch of edgeWeights.
+func mapFleets() []mapFleet {
+	// D≥2 reshaping both P and M on 12×4 GPUs, as BenchmarkDeviceMapping.
+	reshape := mapFleet{name: "reshape", spec: model.GPT20B,
+		devs:   devicesFor(model.GPT20B, mkGPUs(12, 4), config.Config{D: 3, P: 2, M: 8, B: 1}),
+		target: config.Config{D: 4, P: 3, M: 4, B: 1}}
+
+	// Half the GPUs are spares with empty contexts; one instance is
+	// faster, so the speed bonus is on.
+	spareGPUs := mkGPUs(4, 4)
+	spareGPUs[12].Inst.Type.Speed = 1.5
+	spares := mapFleet{name: "spares", spec: model.LLaMA30B,
+		devs:   devicesFor(model.LLaMA30B, spareGPUs, config.Config{D: 1, P: 2, M: 4, B: 1}),
+		target: config.Config{D: 2, P: 3, M: 2, B: 1}}
+
+	// KV caches: new pipeline 0 inherits old 2, new 1 inherits old 0 (the
+	// lowest index a cache guard can admit) and new 2 inherits nothing.
+	// One device holds an empty cache, one a released cache (no pipeline,
+	// stale rectangle and tokens) and one a cache over part of its shard.
+	kvOld := config.Config{D: 3, P: 2, M: 4, B: 1}
+	kvDevs := withCaches(devicesFor(model.GPT20B, mkGPUs(6, 4), kvOld), kvOld)
+	kvDevs[5].CacheTokens = 0
+	kvDevs[6].CachePipeline = -1
+	kvDevs[9].CacheRect.LayerHi = kvDevs[9].CacheRect.LayerLo + 3
+	kv := mapFleet{name: "kv-inherit", spec: model.GPT20B, devs: kvDevs,
+		target:  config.Config{D: 3, P: 3, M: 2, B: 1},
+		inherit: map[int]int{0: 2, 1: 0}}
+
+	// Instances of 4, 3 and 3 GPUs: two blocks of 4 positions cannot both
+	// land on whole instances, so MapDevices falls back to the flat match.
+	g := mkGPUs(3, 4)
+	g = append(g[:7:7], g[8:11]...)
+	flatOld := config.Config{D: 1, P: 2, M: 4, B: 1}
+	flat := mapFleet{name: "flat-fallback", spec: model.OPT6B7,
+		devs:    withCaches(devicesFor(model.OPT6B7, g, flatOld), flatOld),
+		target:  config.Config{D: 2, P: 2, M: 2, B: 1},
+		inherit: map[int]int{1: 0}, flat: true}
+	return []mapFleet{reshape, spares, kv, flat}
+}
+
+// TestReuseTableMatchesEdgeWeights pins the reuse table to its
+// definition: every device×position weight the matchings read must equal
+// edgeWeights' modelBytes + cacheBytes bit for bit, so the matrices KM
+// solves — and with them every assignment and km.Cache lookup — are those
+// of pricing each cell afresh.
+func TestReuseTableMatchesEdgeWeights(t *testing.T) {
+	for _, f := range mapFleets() {
+		t.Run(f.name, func(t *testing.T) {
+			positions := f.target.Positions()
+			var buf []model.Rect
+			var tbl reuseTable
+			tbl.build(f.spec, f.devs, positions, f.target, stageShardRects(f.spec, f.target, &buf), f.inherit)
+			cached := 0
+			for i, u := range f.devs {
+				for j, pos := range positions {
+					want := model.PositionRect(f.spec, f.target.P, f.target.M, pos.P, pos.M)
+					mb, cb := edgeWeights(f.spec, u, want, pos, f.inherit)
+					if got := tbl.weight(i, j); math.Float64bits(got) != math.Float64bits(mb+cb) {
+						t.Fatalf("device %d at %v: table %v, edgeWeights %v + %v", i, pos, got, mb, cb)
+					}
+					if cb > 0 {
+						cached++
+					}
+				}
+			}
+			if f.inherit != nil && cached == 0 {
+				t.Fatal("fixture prices no cache reuse")
+			}
+			ws := &mapWS{}
+			var sv km.Solver
+			_, err := hierarchicalMatch(sv.Solve, f.devs, len(positions), &tbl, nil, ws)
+			if f.flat != (err != nil) {
+				t.Fatalf("hierarchical match error = %v, fixture expects the flat fallback: %v", err, f.flat)
+			}
+		})
+	}
 }
 
 func TestMapSameConfigIsPerfectReuse(t *testing.T) {

@@ -222,7 +222,7 @@ func newSourceIndex(spec model.Spec, devices []DeviceContext, ws *planWS) *sourc
 	off := 0
 	for l, n := range counts {
 		if n > 0 {
-			holders[l] = arena[off:off : off+n]
+			holders[l] = arena[off : off : off+n]
 			off += n
 		} else {
 			holders[l] = nil
@@ -363,7 +363,7 @@ func buildParamPlan(spec model.Spec, devices []DeviceContext, mapping Mapping, o
 	off := 0
 	for l, n := range counts {
 		if n > 0 {
-			pp.byLayer[l] = arena[off:off : off+n]
+			pp.byLayer[l] = arena[off : off : off+n]
 			off += n
 		}
 	}
@@ -560,7 +560,7 @@ func orderLayers(spec model.Spec, pp *paramPlan, devices []DeviceContext, devOf 
 	hoff := 0
 	for l, n := range hcounts {
 		if n > 0 {
-			holders[l] = harena[hoff:hoff : hoff+n]
+			holders[l] = harena[hoff : hoff : hoff+n]
 			hoff += n
 		} else {
 			holders[l] = nil

@@ -19,9 +19,9 @@ func TestPriceSignalLadder(t *testing.T) {
 		{1.0, 12},
 		{2.1, 12},  // at the bid, every rung holds
 		{2.15, 11}, // just above the lowest rung
-		{2.8, 5}, // rungs 2.1·(1+0.6k/11) ≥ 2.8 ⇔ k ≥ 6.11 → 5 rungs
-		{3.36, 1}, // only the top rung bids this high
-		{10.0, 1}, // floor survives any squeeze
+		{2.8, 5},   // rungs 2.1·(1+0.6k/11) ≥ 2.8 ⇔ k ≥ 6.11 → 5 rungs
+		{3.36, 1},  // only the top rung bids this high
+		{10.0, 1},  // floor survives any squeeze
 		{100.0, 1},
 	}
 	for _, tc := range cases {
