@@ -218,3 +218,29 @@ func BenchmarkDeviceMapping(b *testing.B) {
 		run(b, opt)
 	})
 }
+
+// BenchmarkPlanMigration measures one cold parameter plan at fleet scale:
+// 44 surviving GPUs after one of twelve instances is preempted, reshaped
+// from (D=3, P=2, M=8) to (D=3, P=3, M=4) under the default U_max, so
+// MemOpt defers layers. Nothing is memoized, so it times the source index,
+// the transfer build and Algorithm 2's ordering.
+func BenchmarkPlanMigration(b *testing.B) {
+	spec := model.GPT20B
+	est := cost.NewEstimator(cost.DefaultParams(), spec)
+	old := config.Config{D: 3, P: 2, M: 8, B: 1}
+	target := config.Config{D: 3, P: 3, M: 4, B: 1}
+	devs := devicesFor(spec, mkGPUs(12, 4), old)[4:] // inst0 preempted
+	mapping, err := MapDevices(spec, devs, target, MapperOptions{UseKM: true, Hierarchical: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := PlanOptions{Progressive: true, MemOpt: true,
+		UmaxBytes: cost.DefaultParams().BufMaxBytes, MigrateCache: true}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := PlanMigration(spec, est, devs, mapping, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

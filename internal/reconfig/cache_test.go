@@ -103,13 +103,14 @@ func writeMapPlan(b *strings.Builder, m Mapping, pl *Plan) {
 	}
 	fmt.Fprintf(b, "| %x %x %x | %x %x %v |", m.ReusedModelBytes, m.ReusedCacheBytes,
 		m.TotalModelBytes, pl.TotalBytes, pl.StorageBytes, pl.LayerOrder)
-	for _, trs := range append([][]Transfer{pl.Cache}, pl.ByLayer...) {
+	// Index -1 renders the cache transfers, l the transfers of layer l.
+	for i, trs := range append([][]Transfer{pl.Cache}, pl.ByLayer...) {
 		for _, tr := range trs {
 			from := int64(-1)
 			if tr.From != nil {
 				from = tr.From.ID
 			}
-			fmt.Fprintf(b, " %d:%d<-%d %x %v", tr.Layer, tr.To.ID, from, tr.Bytes, tr.Inter)
+			fmt.Fprintf(b, " %d:%d<-%d %x %v", i-1, tr.To.ID, from, tr.Bytes, tr.Inter)
 		}
 	}
 	ids := make([]int64, 0, len(pl.PeakBufferBytes))

@@ -12,22 +12,18 @@ import (
 	"spotserve/internal/model"
 )
 
-// Transfer is one context-migration instruction: move Bytes of layer
-// context (or KV cache when Layer < 0) to GPU To. From is nil when no live
-// replica exists and the context must be fetched from cloud storage — the
-// §4.2 fault-tolerance fallback.
+// Transfer is one context-migration instruction: move Bytes of context to
+// GPU To. Where it sits in a Plan says what it moves: Plan.ByLayer[l] holds
+// layer l's parameter transfers and Plan.Cache the KV-cache transfers. From
+// is nil when no live replica exists and the context must be fetched from
+// cloud storage — the §4.2 fault-tolerance fallback.
 type Transfer struct {
-	// Layer is the transformer layer index, or CacheLayer for KV cache.
-	Layer int
 	To    *cloud.GPU
 	From  *cloud.GPU
 	Bytes float64
 	// Inter marks a transfer crossing the instance network.
 	Inter bool
 }
-
-// CacheLayer marks cache-context transfers in a Plan.
-const CacheLayer = -1
 
 // PlanOptions tunes the migration planner.
 type PlanOptions struct {
@@ -55,7 +51,8 @@ type Plan struct {
 	// LayerOrder is the layer migration order O from Algorithm 2.
 	LayerOrder []int
 	// ByLayer groups parameter transfers per layer, indexed by layer
-	// (empty for layers with nothing to move).
+	// (empty for layers with nothing to move). The layers of one segment
+	// (see layerSegments) share one read-only slice.
 	ByLayer [][]Transfer
 	// StageOfLayer maps each layer to its pipeline stage in Target,
 	// indexed by layer.
@@ -82,12 +79,14 @@ type paramPlan struct {
 }
 
 // planWS pools every transient structure a plan build needs — the device
-// index, the per-layer counting passes, the source index and the whole of
-// Algorithm 2's ordering scratch. Only strictly call-local storage lives
-// here: everything the memoized paramPlan (or the returned Plan) retains
-// is allocated fresh, since plans are shared across cache hits.
+// index, the layer segments, the per-segment counting passes, the source
+// index and the whole of Algorithm 2's ordering scratch. Only strictly
+// call-local storage lives here: everything the memoized paramPlan (or the
+// returned Plan) retains is allocated fresh, since plans are shared across
+// cache hits.
 type planWS struct {
 	devOf     map[int64]int
+	seg       layerSegments
 	counts    []int
 	src       sourceIndex
 	srcCounts []int
@@ -103,7 +102,6 @@ type planWS struct {
 	instCap  []float64
 	dArena   []instDelta
 	dOff     []int
-	layerPos []int
 	scratch  []float64
 	touched  []int
 	usage    []float64
@@ -169,7 +167,7 @@ func PlanMigration(spec model.Spec, est *cost.Estimator, devices []DeviceContext
 	return assemblePlan(spec, pp, devices, mapping, opt), nil
 }
 
-// srcEntry is one device's holding of a single layer in the source index.
+// srcEntry is one device's holding of a segment in the source index.
 type srcEntry struct {
 	dev            int // index into the devices slice
 	fracLo, fracHi float64
@@ -182,63 +180,115 @@ type instDelta struct {
 	by  float64
 }
 
-// sourceIndex is the persistent rect→device structure behind source
-// selection: for every transformer layer, the devices holding context of
-// that layer with their shard-fraction intervals, in devices order. One
-// index is built per parameter plan (O(total held layers)) and replaces
-// the previous per-transfer scan over every device. Its storage is pooled
-// workspace: a count pass sizes one arena and the per-layer lists are
-// views into it, so building the index allocates nothing in steady state.
-type sourceIndex struct {
-	devices []DeviceContext
-	holders [][]srcEntry // per layer
+// layerSegments partitions the model's layers at every breakpoint: the
+// target's stage boundaries and every device's model-context LayerLo and
+// LayerHi, clamped to [0, Layers]. Between two adjacent breakpoints every
+// per-layer input of a parameter plan is constant — which positions want
+// the layer, what each receiver holds of it and which devices can source
+// it — so a position's missing bytes and source, the whole per-layer
+// transfer list and each instance's memory delta are the same for every
+// layer of a segment, and the planner computes them once per segment.
+type layerSegments struct {
+	// lo[s] is the first layer of segment s; lo[n] is the layer count, so
+	// segment s covers [lo[s], lo[s+1]).
+	lo []int
+	// of[l] is the segment holding layer l, and of[Layers] is n, so a
+	// breakpoint b starts segment of[b].
+	of []int
 }
 
-func newSourceIndex(spec model.Spec, devices []DeviceContext, ws *planWS) *sourceIndex {
-	counts := intsFor(&ws.srcCounts, spec.Layers)
+// segments computes the layer segments of a plan into the workspace.
+func (w *planWS) segments(layers, stages int, devices []DeviceContext) *layerSegments {
+	// of first marks the interior breakpoints; the scan below overwrites
+	// each mark with the layer's segment once it has read it.
+	of := intsFor(&w.seg.of, layers+1)
+	mark := func(b int) {
+		if b > 0 && b < layers {
+			of[b] = 1
+		}
+	}
+	for p := 0; p < stages; p++ {
+		lo, _ := model.StageRange(layers, stages, p)
+		mark(lo)
+	}
+	for _, dc := range devices {
+		mark(dc.ModelCtx.LayerLo)
+		mark(dc.ModelCtx.LayerHi)
+	}
+	lo := w.seg.lo[:0]
+	for l := 0; l < layers; l++ {
+		if l == 0 || of[l] != 0 {
+			lo = append(lo, l)
+		}
+		of[l] = len(lo) - 1
+	}
+	of[layers] = len(lo)
+	w.seg.lo = append(lo, layers)
+	return &w.seg
+}
+
+// n returns the number of segments.
+func (sg *layerSegments) n() int { return len(sg.lo) - 1 }
+
+// span returns the segments [s0, s1) covering layers [lo, hi) clamped to
+// the model. Both bounds must be breakpoints: a target stage's or a
+// device's model-context bounds.
+func (sg *layerSegments) span(lo, hi int) (s0, s1 int) {
+	layers := sg.lo[len(sg.lo)-1]
+	lo, hi = max(lo, 0), min(hi, layers)
+	if lo >= hi {
+		return 0, 0
+	}
+	return sg.of[lo], sg.of[hi]
+}
+
+// sourceIndex is the persistent rect→device structure behind source
+// selection: for every layer segment, the devices holding context of that
+// segment with their shard-fraction intervals, in devices order. One index
+// is built per parameter plan (O(devices × segments held)) and replaces a
+// per-transfer scan over every device. Its storage is pooled workspace: a
+// count pass sizes one arena and the per-segment lists are views into it,
+// so building the index allocates nothing in steady state.
+type sourceIndex struct {
+	devices []DeviceContext
+	holders [][]srcEntry // per segment
+}
+
+func newSourceIndex(seg *layerSegments, devices []DeviceContext, ws *planWS) *sourceIndex {
+	counts := intsFor(&ws.srcCounts, seg.n())
 	total := 0
 	for _, dc := range devices {
 		r := dc.ModelCtx
 		if r.Empty() {
 			continue
 		}
-		hi := r.LayerHi
-		if hi > spec.Layers {
-			hi = spec.Layers
+		s0, s1 := seg.span(r.LayerLo, r.LayerHi)
+		for s := s0; s < s1; s++ {
+			counts[s]++
 		}
-		for l := r.LayerLo; l < hi; l++ {
-			counts[l]++
-			total++
-		}
+		total += s1 - s0
 	}
 	if cap(ws.srcArena) < total {
 		ws.srcArena = make([]srcEntry, 0, total)
 	}
 	arena := ws.srcArena[:0]
-	if cap(ws.src.holders) < spec.Layers {
-		ws.src.holders = make([][]srcEntry, spec.Layers)
+	if cap(ws.src.holders) < seg.n() {
+		ws.src.holders = make([][]srcEntry, seg.n())
 	}
-	holders := ws.src.holders[:spec.Layers]
+	holders := ws.src.holders[:seg.n()]
 	off := 0
-	for l, n := range counts {
-		if n > 0 {
-			holders[l] = arena[off : off : off+n]
-			off += n
-		} else {
-			holders[l] = nil
-		}
+	for s, n := range counts {
+		holders[s] = arena[off : off : off+n]
+		off += n
 	}
 	for di, dc := range devices {
 		r := dc.ModelCtx
 		if r.Empty() {
 			continue
 		}
-		hi := r.LayerHi
-		if hi > spec.Layers {
-			hi = spec.Layers
-		}
-		for l := r.LayerLo; l < hi; l++ {
-			holders[l] = append(holders[l], srcEntry{dev: di, fracLo: r.FracLo, fracHi: r.FracHi})
+		s0, s1 := seg.span(r.LayerLo, r.LayerHi)
+		for s := s0; s < s1; s++ {
+			holders[s] = append(holders[s], srcEntry{dev: di, fracLo: r.FracLo, fracHi: r.FracHi})
 		}
 	}
 	ws.src.devices = devices
@@ -247,17 +297,17 @@ func newSourceIndex(spec model.Spec, devices []DeviceContext, ws *planWS) *sourc
 }
 
 // findSource locates a live device holding model context overlapping the
-// *missing* part of the receiver's wanted interval [wantLo, wantHi) at
-// layer — the part outside the receiver's already-held [heldLo, heldHi)
+// *missing* part of the receiver's wanted interval [wantLo, wantHi) in
+// segment s — the part outside the receiver's already-held [heldLo, heldHi)
 // (pass heldLo >= heldHi when nothing is held). A device holding only what
 // the receiver already has cannot supply the missing bytes; when every
 // holder of the missing sub-rectangle has been preempted the transfer
 // falls through to a cold storage fetch (nil source) instead of naming an
 // arbitrary live device as the source. Devices on the receiver's own
 // instance are preferred; ties go to the earliest device in input order.
-func (idx *sourceIndex) findSource(layer int, to *cloud.GPU, wantLo, wantHi, heldLo, heldHi float64) *cloud.GPU {
+func (idx *sourceIndex) findSource(s int, to *cloud.GPU, wantLo, wantHi, heldLo, heldHi float64) *cloud.GPU {
 	var fallback *cloud.GPU
-	for _, e := range idx.holders[layer] {
+	for _, e := range idx.holders[s] {
 		dc := &idx.devices[e.dev]
 		if dc.GPU.ID == to.ID {
 			continue
@@ -312,6 +362,8 @@ func overlapsMissing(lo, hi, wantLo, wantHi, heldLo, heldHi float64) bool {
 
 // buildParamPlan computes the parameter transfers, their source selection
 // and Algorithm 2's layer order. It reads only the devices' model contexts.
+// Sources and transfers are computed once per (position, segment), and the
+// layers of a segment share the segment's transfer list.
 func buildParamPlan(spec model.Spec, devices []DeviceContext, mapping Mapping, opt PlanOptions) (*paramPlan, error) {
 	ws := planWSPool.Get().(*planWS)
 	defer planWSPool.Put(ws)
@@ -320,6 +372,7 @@ func buildParamPlan(spec model.Spec, devices []DeviceContext, mapping Mapping, o
 	for i, d := range devices {
 		devOf[d.GPU.ID] = i
 	}
+	seg := ws.segments(spec.Layers, target.P, devices)
 
 	pp := &paramPlan{
 		byLayer:      make([][]Transfer, spec.Layers),
@@ -330,16 +383,15 @@ func buildParamPlan(spec model.Spec, devices []DeviceContext, mapping Mapping, o
 		pp.stageOfLayer[l] = model.StageOf(spec.Layers, target.P, l)
 	}
 
-	idx := newSourceIndex(spec, devices, ws)
+	idx := newSourceIndex(seg, devices, ws)
 	layerParam := spec.LayerParamBytes()
 
 	// Deterministic position order.
 	positions := target.Positions()
 
-	// Counting pass: transfers per layer, so the fill pass appends into
-	// exactly-sized arena slices instead of growing per-layer slices
-	// through the map.
-	counts := intsFor(&ws.counts, spec.Layers)
+	// Counting pass: transfers per segment, so the fill pass appends into
+	// exactly-sized arena slices.
+	counts := intsFor(&ws.counts, seg.n())
 	total := 0
 	for pi, pos := range positions {
 		gpu := mapping.gpuAt(pi, pos)
@@ -352,24 +404,27 @@ func buildParamPlan(spec model.Spec, devices []DeviceContext, mapping Mapping, o
 		}
 		want := model.PositionRect(spec, target.P, target.M, pos.P, pos.M)
 		wantBytes := want.FracWidth() * layerParam // one layer's slice of the rect
-		for layer := want.LayerLo; layer < want.LayerHi; layer++ {
-			if missing, _, _ := missingAt(held, want, layer, wantBytes, layerParam); missing > 1 {
-				counts[layer]++
+		s0, s1 := seg.span(want.LayerLo, want.LayerHi)
+		for s := s0; s < s1; s++ {
+			if missing, _, _ := missingAt(held, want, seg.lo[s], wantBytes, layerParam); missing > 1 {
+				counts[s]++
 				total++
 			}
 		}
 	}
 	arena := make([]Transfer, total)
 	off := 0
-	for l, n := range counts {
+	for s, n := range counts {
 		if n > 0 {
-			pp.byLayer[l] = arena[off : off : off+n]
+			pp.byLayer[seg.lo[s]] = arena[off : off : off+n]
 			off += n
 		}
 	}
 
-	// Fill pass: per (position, layer) compute missing bytes and select a
-	// live source through the layer index.
+	// Fill pass: per (position, segment) compute missing bytes and select a
+	// live source through the segment index. The totals still add each
+	// layer's bytes position-major and layer by layer: float sums depend on
+	// their order, and n additions of x are not n*x.
 	for pi, pos := range positions {
 		gpu := mapping.gpuAt(pi, pos)
 		var held model.Rect
@@ -378,24 +433,31 @@ func buildParamPlan(spec model.Spec, devices []DeviceContext, mapping Mapping, o
 		}
 		want := model.PositionRect(spec, target.P, target.M, pos.P, pos.M)
 		wantBytes := want.FracWidth() * layerParam
-		for layer := want.LayerLo; layer < want.LayerHi; layer++ {
-			missing, heldLo, heldHi := missingAt(held, want, layer, wantBytes, layerParam)
+		s0, s1 := seg.span(want.LayerLo, want.LayerHi)
+		for s := s0; s < s1; s++ {
+			lo, hi := seg.lo[s], seg.lo[s+1]
+			missing, heldLo, heldHi := missingAt(held, want, lo, wantBytes, layerParam)
 			if missing <= 1 { // sub-byte float residue
 				continue
 			}
-			src := idx.findSource(layer, gpu, want.FracLo, want.FracHi, heldLo, heldHi)
-			tr := Transfer{
-				Layer: layer,
+			src := idx.findSource(s, gpu, want.FracLo, want.FracHi, heldLo, heldHi)
+			pp.byLayer[lo] = append(pp.byLayer[lo], Transfer{
 				To:    gpu,
 				From:  src,
 				Bytes: missing,
 				Inter: src == nil || src.Inst.ID != gpu.Inst.ID,
+			})
+			for l := lo; l < hi; l++ {
+				if src == nil {
+					pp.storageBytes += missing
+				}
+				pp.totalBytes += missing
 			}
-			if src == nil {
-				pp.storageBytes += missing
-			}
-			pp.byLayer[layer] = append(pp.byLayer[layer], tr)
-			pp.totalBytes += missing
+		}
+	}
+	for s := 0; s < seg.n(); s++ {
+		for l := seg.lo[s] + 1; l < seg.lo[s+1]; l++ {
+			pp.byLayer[l] = pp.byLayer[seg.lo[s]]
 		}
 	}
 
@@ -456,7 +518,6 @@ func assemblePlan(spec model.Spec, pp *paramPlan, devices []DeviceContext, mappi
 			continue
 		}
 		tr := Transfer{
-			Layer: CacheLayer,
 			To:    gpu,
 			From:  src,
 			Bytes: needBytes,
@@ -491,7 +552,8 @@ func cacheSource(devices []DeviceContext, oldD int, want model.Rect) (int, *clou
 // footprint is the migration buffer; layers whose migration would push any
 // instance's buffer beyond U_max are deferred and then emitted in min-max
 // order (line 19). The naive order (MemOpt=false) is plain layer order
-// with unbounded buffer.
+// with unbounded buffer. Holders and deltas are built once per segment,
+// since every layer of a segment moves and releases the same bytes.
 func orderLayers(spec model.Spec, pp *paramPlan, devices []DeviceContext, devOf map[int64]int, mapping Mapping, positions []config.Position, opt PlanOptions, ws *planWS) []int {
 	layers := ws.layers[:0]
 	for l, trs := range pp.byLayer {
@@ -530,58 +592,49 @@ func orderLayers(spec model.Spec, pp *paramPlan, devices []DeviceContext, devOf 
 	}
 	sort.Slice(byID, func(a, b int) bool { return devices[byID[a]].GPU.ID < devices[byID[b]].GPU.ID })
 
-	// holders[l] lists the devices holding layer l in byID order, so the
+	// holders[s] lists the devices holding segment s in byID order, so the
 	// release scan below touches only real holders instead of probing
-	// every device per layer.
-	hcounts := intsFor(&ws.hcounts, spec.Layers)
+	// every device per segment. buildParamPlan computed the segments.
+	seg := &ws.seg
+	hcounts := intsFor(&ws.hcounts, seg.n())
 	htotal := 0
 	for _, di := range byID {
 		r := devices[di].ModelCtx
 		if r.Empty() {
 			continue
 		}
-		hi := r.LayerHi
-		if hi > spec.Layers {
-			hi = spec.Layers
+		s0, s1 := seg.span(r.LayerLo, r.LayerHi)
+		for s := s0; s < s1; s++ {
+			hcounts[s]++
 		}
-		for l := r.LayerLo; l < hi; l++ {
-			hcounts[l]++
-			htotal++
-		}
+		htotal += s1 - s0
 	}
 	if cap(ws.harena) < htotal {
 		ws.harena = make([]int, 0, htotal)
 	}
 	harena := ws.harena[:0]
-	if cap(ws.holders) < spec.Layers {
-		ws.holders = make([][]int, spec.Layers)
+	if cap(ws.holders) < seg.n() {
+		ws.holders = make([][]int, seg.n())
 	}
-	holders := ws.holders[:spec.Layers]
+	holders := ws.holders[:seg.n()]
 	hoff := 0
-	for l, n := range hcounts {
-		if n > 0 {
-			holders[l] = harena[hoff : hoff : hoff+n]
-			hoff += n
-		} else {
-			holders[l] = nil
-		}
+	for s, n := range hcounts {
+		holders[s] = harena[hoff : hoff : hoff+n]
+		hoff += n
 	}
 	for _, di := range byID {
 		r := devices[di].ModelCtx
 		if r.Empty() {
 			continue
 		}
-		hi := r.LayerHi
-		if hi > spec.Layers {
-			hi = spec.Layers
-		}
-		for l := r.LayerLo; l < hi; l++ {
-			holders[l] = append(holders[l], di)
+		s0, s1 := seg.span(r.LayerLo, r.LayerHi)
+		for s := s0; s < s1; s++ {
+			holders[s] = append(holders[s], di)
 		}
 	}
 
 	// Instances get dense indices (assigned in deterministic first-touch
-	// order) so the per-layer deltas and running usage live in flat slices
+	// order) so the per-segment deltas and running usage live in flat slices
 	// instead of maps — the deferred-layer selection below reads them
 	// O(L²) times in the worst case. Each instance carries its own buffer
 	// cap: U_max scaled by its type's memory multiplier, so small-memory
@@ -605,17 +658,19 @@ func orderLayers(spec model.Spec, pp *paramPlan, devices []DeviceContext, devOf 
 		return i
 	}
 
-	// deltas for layers[li] live in one arena at dOff[li]:dOff[li+1],
-	// computed once per layer — recomputing them inside every
-	// deferred-layer pass was O(L²) work, and per-layer slices were
-	// per-plan allocations.
+	// deltas for segment s live in one arena at dOff[s]:dOff[s+1] (empty
+	// for segments with nothing to move). Segments are visited in ascending
+	// order, so instances get the indices a per-layer pass would give them.
 	dArena := ws.dArena[:0]
 	dOff := append(ws.dOff[:0], 0)
-	layerPos := intsFor(&ws.layerPos, spec.Layers)
 	scratch := ws.scratch
 	touched := ws.touched[:0]
-	for li, l := range layers {
-		layerPos[l] = li
+	for s := 0; s < seg.n(); s++ {
+		l := seg.lo[s]
+		if len(pp.byLayer[l]) == 0 {
+			dOff = append(dOff, len(dArena))
+			continue
+		}
 		touched = touched[:0]
 		touch := func(idx int) {
 			for len(scratch) <= idx {
@@ -633,7 +688,7 @@ func orderLayers(spec model.Spec, pp *paramPlan, devices []DeviceContext, devOf 
 			touch(idx)
 			scratch[idx] += tr.Bytes
 		}
-		for _, di := range holders[l] {
+		for _, di := range holders[s] {
 			dc := &devices[di]
 			old := dc.ModelCtx
 			oldW := old.FracHi - old.FracLo
@@ -668,8 +723,8 @@ func orderLayers(spec model.Spec, pp *paramPlan, devices []DeviceContext, devOf 
 	ws.dArena, ws.dOff = dArena, dOff
 	ws.scratch, ws.touched = scratch, touched
 	deltasOf := func(l int) []instDelta {
-		li := layerPos[l]
-		return dArena[dOff[li]:dOff[li+1]]
+		s := seg.of[l]
+		return dArena[dOff[s]:dOff[s+1]]
 	}
 
 	usage := floatsFor(&ws.usage, len(instIDs))
@@ -783,9 +838,16 @@ func orderLayers(spec model.Spec, pp *paramPlan, devices []DeviceContext, devOf 
 	}
 	ws.deferred = deferred
 	for len(deferred) > 0 {
+		// Deferred layers of one segment are adjacent and score alike, and
+		// a tie goes to the lowest layer: score each segment's first only.
 		bestI := -1
 		bestV := 0.0
+		prev := -1
 		for i, l := range deferred {
+			if seg.of[l] == prev {
+				continue
+			}
+			prev = seg.of[l]
 			v := scoreAfter(l)
 			if bestI < 0 || v < bestV {
 				bestI, bestV = i, v

@@ -236,8 +236,8 @@ func TestCacheTransfersPrioritizedAndSized(t *testing.T) {
 	}
 	var cacheBytes float64
 	for _, tr := range plan.Cache {
-		if tr.Layer != CacheLayer {
-			t.Fatal("cache transfer mislabeled")
+		if !m.assigned(tr.To.ID) {
+			t.Fatalf("cache transfer to gpu %d, which the mapping leaves out of the mesh", tr.To.ID)
 		}
 		cacheBytes += tr.Bytes
 	}
