@@ -115,8 +115,8 @@ fuzz:
 	$(GO) test -fuzz=FuzzParseJobSpec -fuzztime=15s ./internal/scenario/
 
 # Coverage gate: per-package statement coverage must not drop below the
-# committed floors in COVER_floor.json (analysis, calibrate, reconfig,
-# scenario, serve). The test run lands in a temp file first so a failing
+# committed floors in COVER_floor.json (analysis, calibrate, engine,
+# reconfig, scenario, serve, sim). The test run lands in a temp file first so a failing
 # test fails the target instead of vanishing down an unchecked pipe.
 cover:
 	$(GO) test -cover ./... > cover-out.tmp \

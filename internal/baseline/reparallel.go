@@ -78,23 +78,23 @@ func (r *Reparallel) Stats() core.Stats {
 // Config returns the current configuration.
 func (r *Reparallel) Config() config.Config { return r.cfg }
 
-// LoadWorkload schedules arrivals and monitoring.
+// LoadWorkload schedules arrivals and monitoring. Arrivals read reqs as
+// they fire, so the caller must not modify it during the run.
 func (r *Reparallel) LoadWorkload(reqs []workload.Request, horizon float64) {
 	if r.stats.Latencies == nil {
 		r.stats.Latencies = &metrics.Latencies{}
 	}
-	for _, q := range reqs {
-		q := q
-		r.stats.Submitted++
-		r.sim.At(q.At, func() {
-			r.queue = append(r.queue, &engine.RequestState{Req: q})
-			r.dispatch()
-		})
-	}
+	r.stats.Submitted += len(reqs)
+	r.sim.Series(len(reqs), func(i int) float64 { return reqs[i].At }, func(i int) {
+		r.queue = append(r.queue, &engine.RequestState{Req: reqs[i]})
+		r.dispatch()
+	})
+	var ticks []float64
 	for t := r.opts.CheckInterval; t < horizon; t += r.opts.CheckInterval {
-		t := t
-		r.sim.At(t, func() { r.workloadCheck() })
+		ticks = append(ticks, t)
 	}
+	r.sim.Series(len(ticks), func(i int) float64 { return ticks[i] },
+		func(int) { r.workloadCheck() })
 	r.sim.At(0, func() { r.bootstrap() })
 }
 
@@ -388,9 +388,9 @@ func (e *reparallelEvents) InstanceTerminated(inst *cloud.Instance) {
 
 type reparallelHooks Reparallel
 
-// AllowFastForward implements engine.FastForwarder: this baseline never
-// pauses through IterationDone (it aborts pipelines outright on restart),
-// so every run may batch its iteration commits.
+// AllowFastForward opts into fast-forward: this baseline never pauses
+// through IterationDone (it aborts pipelines outright on restart), so every
+// run may batch its iteration commits.
 func (h *reparallelHooks) AllowFastForward(p *engine.Pipeline) bool { return true }
 
 func (h *reparallelHooks) IterationDone(p *engine.Pipeline) bool { return true }

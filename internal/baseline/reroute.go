@@ -83,18 +83,17 @@ func (r *Reroute) Shape() config.Config { return r.shape }
 
 // LoadWorkload schedules arrivals; the fixed shape is chosen at bootstrap
 // exactly as SpotServe would for the initial fleet (fair comparison).
+// Arrivals read reqs as they fire, so the caller must not modify it during
+// the run.
 func (r *Reroute) LoadWorkload(reqs []workload.Request, horizon float64) {
 	if r.stats.Latencies == nil {
 		r.stats.Latencies = &metrics.Latencies{}
 	}
-	for _, q := range reqs {
-		q := q
-		r.stats.Submitted++
-		r.sim.At(q.At, func() {
-			r.queue = append(r.queue, &engine.RequestState{Req: q})
-			r.dispatch()
-		})
-	}
+	r.stats.Submitted += len(reqs)
+	r.sim.Series(len(reqs), func(i int) float64 { return reqs[i].At }, func(i int) {
+		r.queue = append(r.queue, &engine.RequestState{Req: reqs[i]})
+		r.dispatch()
+	})
 	r.sim.At(0, func() { r.bootstrap() })
 }
 
@@ -296,7 +295,7 @@ func (e *rerouteEvents) InstanceTerminated(inst *cloud.Instance) {
 
 type rerouteHooks Reroute
 
-// AllowFastForward implements engine.FastForwarder: rerouting never pauses
+// AllowFastForward opts into fast-forward: rerouting never pauses
 // through IterationDone (dead pipelines are aborted), so every run may
 // batch its iteration commits.
 func (h *rerouteHooks) AllowFastForward(p *engine.Pipeline) bool { return true }

@@ -457,9 +457,14 @@ func (c *Cloud) ReplayTrace(tr trace.Trace) error {
 	if err := tr.Validate(); err != nil {
 		return err
 	}
+	type change struct {
+		at      float64
+		delta   int
+		initial bool
+	}
+	var changes []change
 	prev := 0
 	for idx, ev := range tr.Events {
-		ev := ev
 		delta := ev.Count - prev
 		prev = ev.Count
 		if delta == 0 {
@@ -467,18 +472,21 @@ func (c *Cloud) ReplayTrace(tr trace.Trace) error {
 		}
 		if idx == 0 {
 			// Initial fleet: ready immediately at t=0.
-			c.sim.At(0, func() { c.launchSpot(delta, 0) })
+			changes = append(changes, change{delta: delta, initial: true})
 			continue
 		}
-		d := delta
-		c.sim.At(ev.At, func() {
-			if d > 0 {
-				c.launchSpot(d, c.params.AcquireDelay)
-			} else {
-				c.preemptSpot(-d)
-			}
-		})
+		changes = append(changes, change{at: ev.At, delta: delta})
 	}
+	c.sim.Series(len(changes), func(i int) float64 { return changes[i].at }, func(i int) {
+		switch ch := changes[i]; {
+		case ch.initial:
+			c.launchSpot(ch.delta, 0)
+		case ch.delta > 0:
+			c.launchSpot(ch.delta, c.params.AcquireDelay)
+		default:
+			c.preemptSpot(-ch.delta)
+		}
+	})
 	return nil
 }
 

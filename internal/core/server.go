@@ -168,12 +168,10 @@ type Server struct {
 
 	arrivals []float64
 
-	// Arrival chain: when the workload's arrival times are nondecreasing,
-	// submissions run as one self-rescheduling event over the state slab
-	// instead of one closure per request.
-	arrivalStates []engine.RequestState
-	nextArrival   int
-	submitNextFn  func()
+	// meshCtx and usableCtx are the reusable deviceContexts snapshots of
+	// the mesh candidates (Map's input) and of every usable GPU, grace
+	// period included (Plan's sources).
+	meshCtx, usableCtx []reconfig.DeviceContext
 
 	// reconfiguration state
 	pendingReconfig bool
@@ -280,34 +278,20 @@ func (s *Server) LoadWorkload(reqs []workload.Request, horizon float64) {
 	// One slab holds every request's state: per-arrival allocations in
 	// submit would dominate the steady-state profile.
 	states := make([]engine.RequestState, len(reqs))
-	sorted := true
 	for i, r := range reqs {
 		states[i].Req = r
 		s.stats.Submitted++
-		if i > 0 && r.At < reqs[i-1].At {
-			sorted = false
-		}
 	}
-	if sorted && len(states) > 0 {
-		// Nondecreasing arrivals (every generated trace): one
-		// self-rescheduling event walks the slab, so loading n requests
-		// costs O(1) closures instead of n.
-		s.arrivalStates = states
-		s.nextArrival = 0
-		s.submitNextFn = s.submitNext
-		s.sim.At(states[0].Req.At, s.submitNextFn)
-	} else {
-		for i := range states {
-			st := &states[i]
-			s.sim.At(st.Req.At, func() { s.submit(st) })
-		}
-	}
+	s.sim.Series(len(states), func(i int) float64 { return states[i].Req.At },
+		func(i int) { s.submit(&states[i]) })
 	// Workload monitor ticks, continuing through the drain window so a
 	// poor configuration chosen near the horizon still gets corrected.
+	var ticks []float64
 	for t := s.opts.CheckInterval; t < horizon+1800; t += s.opts.CheckInterval {
-		t := t
-		s.sim.At(t, func() { s.workloadCheck() })
+		ticks = append(ticks, t)
 	}
+	s.sim.Series(len(ticks), func(i int) float64 { return ticks[i] },
+		func(int) { s.workloadCheck() })
 	// Bootstrap after the cloud's t=0 events.
 	s.sim.At(0, func() { s.bootstrap() })
 }
@@ -316,19 +300,6 @@ func (s *Server) submit(r *engine.RequestState) {
 	s.arrivals = append(s.arrivals, r.Req.At)
 	s.queue = append(s.queue, r)
 	s.tryDispatch()
-}
-
-// submitNext submits the next slab request and schedules the one after it —
-// the arrival chain's single event callback. The successor is scheduled
-// before submission so same-time arrivals keep their FIFO order ahead of
-// any events the submission itself schedules.
-func (s *Server) submitNext() {
-	st := &s.arrivalStates[s.nextArrival]
-	s.nextArrival++
-	if s.nextArrival < len(s.arrivalStates) {
-		s.sim.At(s.arrivalStates[s.nextArrival].Req.At, s.submitNextFn)
-	}
-	s.submit(st)
 }
 
 // backlogDrainTarget is how quickly the optimizer should aim to drain a
@@ -424,9 +395,12 @@ func (s *Server) usableMemFloor() float64 {
 	return floor
 }
 
-// deviceContexts snapshots daemon contexts for the given GPUs.
-func (s *Server) deviceContexts(gpus []*cloud.GPU) []reconfig.DeviceContext {
-	out := make([]reconfig.DeviceContext, 0, len(gpus))
+// deviceContexts snapshots daemon contexts for the given GPUs into *buf,
+// reusing its storage. A snapshot is valid until the next call with the
+// same buffer; reconfig reads one only during the Map or Plan call it is
+// passed to.
+func (s *Server) deviceContexts(buf *[]reconfig.DeviceContext, gpus []*cloud.GPU) []reconfig.DeviceContext {
+	out := (*buf)[:0]
 	for _, g := range gpus {
 		d := s.eng.Daemon(g)
 		out = append(out, reconfig.DeviceContext{
@@ -437,6 +411,7 @@ func (s *Server) deviceContexts(gpus []*cloud.GPU) []reconfig.DeviceContext {
 			CacheTokens:   d.CacheTokens,
 		})
 	}
+	*buf = out
 	return out
 }
 
@@ -672,7 +647,7 @@ func (s *Server) instanceInUse(inst *cloud.Instance) bool {
 // on the daemons are set to their new rectangles.
 func (s *Server) installConfig(cfg config.Config, ready []float64, reason string) {
 	gpus := s.usableGPUs()
-	devs := s.deviceContexts(gpus)
+	devs := s.deviceContexts(&s.meshCtx, gpus)
 	mapping, err := s.rc.Map(devs, cfg, nil)
 	if err != nil {
 		// Not enough GPUs — should have been prevented by the caller.
@@ -849,12 +824,12 @@ func (s *Server) estimateMigration(target config.Config) float64 {
 	if target.IsZero() || target.GPUs() > len(gpus) {
 		return 0
 	}
-	devs := s.deviceContexts(gpus)
+	devs := s.deviceContexts(&s.meshCtx, gpus)
 	mapping, err := s.rc.Map(devs, target, nil)
 	if err != nil {
 		return 0
 	}
-	all := s.deviceContexts(s.cloud.UsableGPUs())
+	all := s.deviceContexts(&s.usableCtx, s.cloud.UsableGPUs())
 	plan, err := s.rc.Plan(all, mapping, nil)
 	if err != nil {
 		return 0
@@ -908,14 +883,14 @@ func (s *Server) executeMigration(target config.Config) {
 	kept, inherit := s.collectBatches(target)
 
 	// 2. Device mapping (KM) over surviving GPUs.
-	devs := s.deviceContexts(gpus)
+	devs := s.deviceContexts(&s.meshCtx, gpus)
 	mapping, err := s.rc.Map(devs, target, inherit)
 	if err != nil {
 		panic(fmt.Sprintf("core: executeMigration: %v", err))
 	}
 
 	// 3. Migration plan: sources include grace-period instances.
-	all := s.deviceContexts(s.cloud.UsableGPUs())
+	all := s.deviceContexts(&s.usableCtx, s.cloud.UsableGPUs())
 	plan, err := s.rc.Plan(all, mapping, inherit)
 	if err != nil {
 		panic(fmt.Sprintf("core: planMigration: %v", err))
@@ -1217,7 +1192,7 @@ func (c *cloudEvents) InstanceTerminated(inst *cloud.Instance) {
 
 type serverHooks Server
 
-// AllowFastForward implements engine.FastForwarder: outside a pending
+// AllowFastForward opts into fast-forward: outside a pending
 // reconfiguration IterationDone is a side-effect-free "continue", so the
 // engine may batch iteration commits. beginReconfig interrupts in-flight
 // runs when this promise expires.

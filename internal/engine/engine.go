@@ -161,29 +161,25 @@ type Hooks interface {
 	// BatchPaused fires when IterationDone returned false and the batch
 	// was handed back with committed progress.
 	BatchPaused(p *Pipeline, b *Batch)
-}
-
-// FastForwarder optionally extends Hooks with the fast-forward opt-in.
-//
-// When AllowFastForward(p) returns true at an iteration boundary, the
-// engine may commit the run of iterations up to the next semantic boundary
-// (the earliest request completion) as ONE simulator event instead of one
-// event per iteration; IterationDone is not called at the elided interior
-// boundaries. Returning true is therefore a promise that, until the run's
-// final boundary, IterationDone would have returned true with no observable
-// side effects. A control plane whose promise expires mid-run (e.g. a
-// reconfiguration starts and the JIT arranger now needs per-iteration
-// decisions) must call Pipeline.Interrupt — or RequestStop / Abort, which
-// imply it — to demote the run back to per-iteration stepping from the next
-// boundary on.
-//
-// Fast-forward is an execution-strategy change only: boundary times are
-// accumulated with exactly the per-iteration floating-point operations, and
-// every externally observable read (RequestStop, Abort, Batch, Iterations,
-// Engine.Daemon/Daemons) first commits the boundaries that have already
-// passed on the virtual clock, so traces are byte-identical with and
-// without it.
-type FastForwarder interface {
+	// AllowFastForward is the fast-forward opt-in. When it returns true at
+	// an iteration boundary, the engine may commit the run of iterations up
+	// to the next semantic boundary (the earliest request completion) as
+	// ONE simulator event instead of one event per iteration; IterationDone
+	// is not called at the elided interior boundaries. Returning true is
+	// therefore a promise that, until the run's final boundary,
+	// IterationDone would have returned true with no observable side
+	// effects. A control plane whose promise expires mid-run (e.g. a
+	// reconfiguration starts and the JIT arranger now needs per-iteration
+	// decisions) must call Pipeline.Interrupt — or RequestStop / Abort,
+	// which imply it — to demote the run back to per-iteration stepping
+	// from the next boundary on.
+	//
+	// Fast-forward is an execution-strategy change only: boundary times are
+	// accumulated with exactly the per-iteration floating-point operations,
+	// and every externally observable read (RequestStop, Abort, Batch,
+	// Iterations, Engine.Daemon/Daemons) first commits the boundaries that
+	// have already passed on the virtual clock, so traces are
+	// byte-identical with and without it.
 	AllowFastForward(p *Pipeline) bool
 }
 
@@ -194,7 +190,7 @@ type Engine struct {
 	Hooks Hooks
 
 	// NoFastForward forces one-event-per-iteration execution even when
-	// Hooks implements FastForwarder (the reference mode equivalence tests
+	// Hooks.AllowFastForward opts in (the reference mode equivalence tests
 	// compare against).
 	NoFastForward bool
 
@@ -262,8 +258,8 @@ func (e *Engine) Daemon(gpu *cloud.GPU) *Daemon {
 	return e.daemon(gpu)
 }
 
-// daemon is Daemon without the fast-forward sync — the engine's own commit
-// path uses it to avoid re-entering sync.
+// daemon is Daemon without the fast-forward sync — NewPipeline resolves its
+// positions' daemons through it once, so commits never look them up.
 func (e *Engine) daemon(gpu *cloud.GPU) *Daemon {
 	d, ok := e.daemons[gpu.ID]
 	if !ok {
@@ -336,9 +332,9 @@ type Pipeline struct {
 	completeFn   func()
 	ffCompleteFn func()
 
-	// cacheRefs precomputes, per position, the device and cache rectangle a
+	// cacheRefs holds, per position, the daemon and cache rectangle a
 	// commit refreshes — the per-iteration daemon refresh then walks a
-	// slice instead of iterating the position map and recomputing rects.
+	// slice instead of looking daemons up and recomputing rects.
 	cacheRefs []cacheRef
 }
 
@@ -357,9 +353,12 @@ type ffSeg struct {
 	start float64
 }
 
-// cacheRef pairs a pipeline GPU with its precomputed cache rectangle.
+// cacheRef pairs the daemon of a pipeline GPU, resolved once in
+// NewPipeline, with its precomputed cache rectangle. A daemon dropped by
+// DropDaemon while the pipeline lives stays dropped: the pipeline keeps
+// writing to its own pointer and never re-creates it in the engine.
 type cacheRef struct {
-	gpu  *cloud.GPU
+	d    *Daemon
 	rect model.Rect
 }
 
@@ -389,7 +388,7 @@ func (e *Engine) NewPipeline(id int, cfg config.Config, gpus map[config.Position
 		for m := 0; m < cfg.M; m++ {
 			pos := config.Position{D: id, P: sp, M: m}
 			p.cacheRefs = append(p.cacheRefs, cacheRef{
-				gpu:  gpus[pos],
+				d:    e.daemon(gpus[pos]),
 				rect: model.PositionRect(e.Est.Spec, cfg.P, cfg.M, sp, m),
 			})
 		}
@@ -522,8 +521,7 @@ func (p *Pipeline) canFastForward() bool {
 	if p.eng.NoFastForward || p.stopASAP {
 		return false
 	}
-	ff, ok := p.eng.Hooks.(FastForwarder)
-	if !ok || !ff.AllowFastForward(p) {
+	if !p.eng.Hooks.AllowFastForward(p) {
 		return false
 	}
 	now := p.eng.Sim.Now()
@@ -813,11 +811,11 @@ func (p *Pipeline) completeIteration() {
 // context daemons after a commit, walking the precomputed position refs.
 func (p *Pipeline) refreshCacheDaemons() {
 	tokens := p.batch.TotalTokens()
-	for _, ref := range p.cacheRefs {
-		d := p.eng.daemon(ref.gpu)
-		d.CachePipeline = p.ID
-		d.CacheRect = ref.rect
-		d.CacheTokens = tokens
+	for i := range p.cacheRefs {
+		ref := &p.cacheRefs[i]
+		ref.d.CachePipeline = p.ID
+		ref.d.CacheRect = ref.rect
+		ref.d.CacheTokens = tokens
 	}
 }
 
@@ -826,9 +824,8 @@ func (p *Pipeline) finish() {
 	p.batch = nil
 	p.invalidateSpan()
 	// The completed batch's cache is dead weight; daemons drop it.
-	//detlint:allow maprange — DropCache touches only the one daemon owned by each distinct GPU; the per-daemon effects are disjoint and commute
-	for _, gpu := range p.GPUs {
-		p.eng.daemon(gpu).DropCache()
+	for i := range p.cacheRefs {
+		p.cacheRefs[i].d.DropCache()
 	}
 	p.eng.Hooks.BatchDone(p)
 }

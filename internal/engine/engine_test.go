@@ -30,6 +30,9 @@ func (h *testHooks) IterationDone(p *Pipeline) bool {
 }
 func (h *testHooks) RequestDone(p *Pipeline, r *RequestState) { h.reqDone = append(h.reqDone, r) }
 func (h *testHooks) BatchDone(p *Pipeline)                    { h.batchDone++ }
+
+// AllowFastForward keeps testHooks on per-iteration stepping; ffHooks opts in.
+func (h *testHooks) AllowFastForward(p *Pipeline) bool { return false }
 func (h *testHooks) BatchPaused(p *Pipeline, b *Batch) {
 	h.paused = append(h.paused, b)
 	h.pausedPipe = append(h.pausedPipe, p)

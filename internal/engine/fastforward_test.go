@@ -4,11 +4,12 @@ import (
 	"fmt"
 	"testing"
 
+	"spotserve/internal/cloud"
 	"spotserve/internal/config"
 	"spotserve/internal/model"
 )
 
-// ffHooks wraps testHooks with the FastForwarder opt-in and an event trace
+// ffHooks wraps testHooks with the fast-forward opt-in and an event trace
 // so fast-forward and per-iteration runs can be compared step for step.
 type ffHooks struct {
 	testHooks
@@ -235,4 +236,73 @@ func TestFastForwardRestartAfterPause(t *testing.T) {
 		f.sim.RunAll()
 		h.log("final committed=%d", b.Requests[0].Committed)
 	})
+}
+
+// TestDroppedDaemonsStayDropped is the regression test for aborting a
+// fast-forwarding pipeline whose GPUs were terminated: the abort commits
+// the boundaries the clock has passed, and that commit used to re-create
+// every daemon DropDaemon had just forgotten. It also pins that a live
+// pipeline refreshes exactly the daemon Engine.Daemon returns.
+func TestDroppedDaemonsStayDropped(t *testing.T) {
+	f, _ := ffFixture(t, model.OPT6B7, 2, false)
+	cfg := config.Config{D: 2, P: 2, M: 2, B: 4}
+	bind := func(id int) map[config.Position]*cloud.GPU {
+		out := map[config.Position]*cloud.GPU{}
+		for p := 0; p < cfg.P; p++ {
+			for m := 0; m < cfg.M; m++ {
+				out[config.Position{D: id, P: p, M: m}] = f.gpus[4*id+p*cfg.M+m]
+			}
+		}
+		return out
+	}
+	dead, err := f.eng.NewPipeline(0, cfg, bind(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := f.eng.NewPipeline(1, cfg, bind(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.sim.At(0, func() {
+		dead.Start(mkBatch(2, 512, 64))
+		live.Start(mkBatch(2, 512, 64))
+	})
+	// The first iteration pays the initial phase; its completion arms the
+	// first fast-forward segment.
+	f.sim.Run(0)
+	f.sim.Run(dead.iterEnd)
+	if !dead.ffActive || dead.sc.segs[0].end < 3 {
+		t.Fatalf("no multi-boundary fast-forward segment armed (active=%v)", dead.ffActive)
+	}
+	mid := (dead.sc.times[1] + dead.sc.times[2]) / 2
+	f.sim.At(mid, func() {})
+	f.sim.Run(mid)
+
+	committed := dead.batch.Progress()
+	for _, g := range dead.GPUs {
+		f.eng.DropDaemon(g.ID)
+	}
+	b := dead.Abort()
+	if b.Progress() <= committed {
+		t.Fatalf("abort committed no passed boundary (progress %d → %d)", committed, b.Progress())
+	}
+	for _, d := range f.eng.Daemons() {
+		for _, g := range dead.GPUs {
+			if d.GPU == g {
+				t.Fatalf("daemon of dropped GPU %d re-created", g.ID)
+			}
+		}
+	}
+
+	f.sim.Run(mid + 1)
+	for _, ref := range live.cacheRefs {
+		d := f.eng.Daemon(ref.d.GPU)
+		if d != ref.d {
+			t.Fatalf("Engine.Daemon(%d) is not the daemon the pipeline refreshes", ref.d.GPU.ID)
+		}
+		if d.CachePipeline != live.ID || d.CacheTokens != live.Batch().TotalTokens() {
+			t.Fatalf("daemon %d: cache pipeline %d, %d tokens; want %d, %d",
+				d.GPU.ID, d.CachePipeline, d.CacheTokens, live.ID, live.Batch().TotalTokens())
+		}
+	}
 }

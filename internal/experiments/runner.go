@@ -109,14 +109,15 @@ func Run(sc Scenario) Result {
 
 	res := Result{Scenario: sc}
 	if sc.SampleFleet {
+		var ticks []float64
 		for t := 0.0; t < horizon; t += 10 {
-			t := t
-			s.At(t, func() {
-				spot, od := cl.AliveCount()
-				res.SpotCount.Add(t, float64(spot))
-				res.OnDemandCount.Add(t, float64(od))
-			})
+			ticks = append(ticks, t)
 		}
+		s.Series(len(ticks), func(i int) float64 { return ticks[i] }, func(i int) {
+			spot, od := cl.AliveCount()
+			res.SpotCount.Add(ticks[i], float64(spot))
+			res.OnDemandCount.Add(ticks[i], float64(od))
+		})
 	}
 
 	drain := sc.Drain

@@ -3,17 +3,25 @@
 // Virtual time is measured in float64 seconds starting at zero. Events are
 // executed in nondecreasing time order; events scheduled for the same instant
 // run in scheduling order (stable FIFO tie-break), which keeps every
-// simulation fully deterministic.
+// simulation fully deterministic. The queue is a binary min-heap on the total
+// order (time, sequence number), so its pop sequence is fully determined.
+//
+// Series schedules a run of n events with one call: it reserves their n
+// sequence numbers at once but holds only the next of them in the queue, and
+// each member queues its successor when it fires. The events fire exactly as
+// n At calls made at the Series call would, and a live series counts as one
+// pending event.
 //
 // The kernel is allocation-free on the steady-state hot path: event items are
-// recycled through a free list, cancelled events are compacted out of the
-// heap eagerly (no dead items linger until popped), and Pending is O(1).
+// recycled through a free list, cancelled events are removed from the heap
+// eagerly (no dead items linger until popped), and Pending is O(1).
 package sim
 
 import (
-	"container/heap"
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Event is a callback scheduled to run at a virtual time.
@@ -31,38 +39,54 @@ type item struct {
 	owner *Simulator
 }
 
-// eventQueue is a binary heap ordered by (at, seq).
+// before is the queue order: by time, then by sequence number.
+func (a *item) before(b *item) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+// eventQueue is a binary min-heap of items ordered by before. Every item
+// records its slot in index, so any item can be removed in O(log n).
 type eventQueue []*item
 
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+// up fills the hole at slot i with it, moving ancestors that it precedes
+// down one level each.
+func (q eventQueue) up(i int, it *item) {
+	for i > 0 {
+		p := (i - 1) / 2
+		parent := q[p]
+		if !it.before(parent) {
+			break
+		}
+		q[i] = parent
+		parent.index = i
+		i = p
 	}
-	return q[i].seq < q[j].seq
+	q[i] = it
+	it.index = i
 }
 
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-
-func (q *eventQueue) Push(x any) {
-	it := x.(*item)
-	it.index = len(*q)
-	*q = append(*q, it)
-}
-
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	it.index = -1
-	*q = old[:n-1]
-	return it
+// down fills the hole at slot i with it, moving the earlier child up one
+// level while that child precedes it.
+func (q eventQueue) down(i int, it *item) {
+	n := len(q)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].before(q[c]) {
+			c = r
+		}
+		child := q[c]
+		if !child.before(it) {
+			break
+		}
+		q[i] = child
+		child.index = i
+		i = c
+	}
+	q[i] = it
+	it.index = i
 }
 
 // Handle identifies a scheduled event so it can be cancelled. A Handle stays
@@ -83,7 +107,7 @@ func (h Handle) Cancel() bool {
 		return false
 	}
 	s := it.owner
-	heap.Remove(&s.queue, it.index)
+	s.remove(it.index)
 	s.release(it)
 	return true
 }
@@ -105,8 +129,8 @@ type Simulator struct {
 }
 
 // slabSize is the bump-allocation chunk for cold-path item creation: a
-// workload that schedules thousands of arrival events up front costs
-// O(events/slabSize) allocations instead of one per event.
+// burst of scheduling costs O(events/slabSize) allocations instead of one
+// per event.
 const slabSize = 64
 
 // New returns a simulator with the clock at zero.
@@ -147,19 +171,49 @@ func (s *Simulator) release(it *item) {
 	s.free = append(s.free, it)
 }
 
-// At schedules fn to run at absolute virtual time t.
-// Scheduling in the past panics: it indicates a logic error in the model.
-func (s *Simulator) At(t float64, fn Event) Handle {
+// push queues fn at time t under sequence number seq.
+func (s *Simulator) push(t float64, seq uint64, fn Event) *item {
+	it := s.alloc()
+	it.at, it.seq, it.fn = t, seq, fn
+	s.queue = append(s.queue, nil)
+	s.queue.up(len(s.queue)-1, it)
+	return it
+}
+
+// remove takes the item at slot i out of the heap, refilling the hole with
+// the last item. The caller releases the removed item.
+func (s *Simulator) remove(i int) {
+	n := len(s.queue) - 1
+	last := s.queue[n]
+	s.queue[n] = nil
+	s.queue = s.queue[:n]
+	if i == n {
+		return
+	}
+	if i > 0 && last.before(s.queue[(i-1)/2]) {
+		s.queue.up(i, last)
+	} else {
+		s.queue.down(i, last)
+	}
+}
+
+// checkTime panics on a time that cannot be scheduled: scheduling at NaN or
+// in the past indicates a logic error in the model.
+func (s *Simulator) checkTime(t float64) {
 	if math.IsNaN(t) {
 		panic("sim: schedule at NaN time")
 	}
 	if t < s.now {
 		panic(fmt.Sprintf("sim: schedule at %.6f which is before now %.6f", t, s.now))
 	}
-	it := s.alloc()
-	it.at, it.seq, it.fn = t, s.seq, fn
+}
+
+// At schedules fn to run at absolute virtual time t.
+// Scheduling in the past panics: it indicates a logic error in the model.
+func (s *Simulator) At(t float64, fn Event) Handle {
+	s.checkTime(t)
+	it := s.push(t, s.seq, fn)
 	s.seq++
-	heap.Push(&s.queue, it)
 	return Handle{it: it, gen: it.gen}
 }
 
@@ -170,6 +224,83 @@ func (s *Simulator) After(delay float64, fn Event) Handle {
 		delay = 0
 	}
 	return s.At(s.now+delay, fn)
+}
+
+// Series schedules n events: event i runs fn(i) at time at(i). They fire
+// exactly as n At calls made now in index order would — by time, ties in
+// index order, and interleaved with every other event by the sequence
+// numbers those calls would have taken, which Series reserves now — for
+// any order of the times. Only the next event of the series is held in the
+// queue; it queues its successor when it fires. at must be a pure function
+// of i: Series reads every time now and reads each again when that event is
+// queued. Series events return no Handle and cannot be cancelled. Like At,
+// Series panics on a NaN time or one before now.
+func (s *Simulator) Series(n int, at func(i int) float64, fn func(i int)) {
+	if n <= 0 {
+		return
+	}
+	sorted := true
+	prev := math.Inf(-1)
+	for i := 0; i < n; i++ {
+		t := at(i)
+		s.checkTime(t)
+		if t < prev {
+			sorted = false
+		}
+		prev = t
+	}
+	sr := &series{sim: s, at: at, fn: fn, base: s.seq, n: n}
+	s.seq += uint64(n)
+	if !sorted {
+		// The firing order of unsorted times: a stable sort keeps equal
+		// times in index order, as their sequence numbers would.
+		sr.order = make([]int, n)
+		for i := range sr.order {
+			sr.order[i] = i
+		}
+		slices.SortStableFunc(sr.order, func(a, b int) int { return cmp.Compare(at(a), at(b)) })
+	}
+	sr.step = sr.fire
+	sr.queueNext()
+}
+
+// series is the state of one Series call. Its members fire in (at(i), i)
+// order; order lists them in that order, or is nil when the times are
+// nondecreasing. next is the position in that order of the queued member.
+type series struct {
+	sim   *Simulator
+	at    func(i int) float64
+	fn    func(i int)
+	order []int
+	base  uint64
+	n     int
+	next  int
+	step  Event
+}
+
+// member returns the index of the member at position k of the firing order.
+func (sr *series) member(k int) int {
+	if sr.order == nil {
+		return k
+	}
+	return sr.order[k]
+}
+
+// queueNext queues the member at position next under its reserved sequence
+// number.
+func (sr *series) queueNext() {
+	i := sr.member(sr.next)
+	sr.sim.push(sr.at(i), sr.base+uint64(i), sr.step)
+}
+
+// fire runs the queued member after queueing its successor, so the series
+// stays in the queue even if fn stops the run.
+func (sr *series) fire() {
+	i := sr.member(sr.next)
+	if sr.next++; sr.next < sr.n {
+		sr.queueNext()
+	}
+	sr.fn(i)
 }
 
 // Stop makes Run return after the currently executing event completes.
@@ -184,7 +315,7 @@ func (s *Simulator) Run(until float64) float64 {
 		if it.at > until {
 			break
 		}
-		heap.Pop(&s.queue)
+		s.remove(0)
 		s.now = it.at
 		s.steps++
 		fn := it.fn
@@ -205,8 +336,9 @@ func (s *Simulator) RunAll() float64 {
 	return s.Run(math.Inf(1))
 }
 
-// Pending returns the number of live events in the queue in O(1): cancelled
-// events are removed eagerly, so the heap holds exactly the live events.
+// Pending returns the number of queued events in O(1). Cancelled events are
+// removed eagerly, so the heap holds exactly the live events — except that
+// a live series holds only its next event, so it counts as one.
 func (s *Simulator) Pending() int {
 	return len(s.queue)
 }
