@@ -115,7 +115,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzParseJobSpec -fuzztime=15s ./internal/scenario/
 
 # Coverage gate: per-package statement coverage must not drop below the
-# committed floors in COVER_floor.json (analysis, calibrate, engine,
+# committed floors in COVER_floor.json (analysis, calibrate, core, engine,
 # reconfig, scenario, serve, sim). The test run lands in a temp file first so a failing
 # test fails the target instead of vanishing down an unchecked pipe.
 cover:

@@ -93,6 +93,8 @@ var kernelPackages = map[string]bool{
 	"spotserve/internal/scenario":    true,
 	"spotserve/internal/metrics":     true,
 	"spotserve/internal/experiments": true,
+	"spotserve/internal/cloud":       true,
+	"spotserve/internal/workload":    true,
 }
 
 // IsKernelPackage reports whether path is one of the deterministic

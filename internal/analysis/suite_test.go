@@ -47,7 +47,7 @@ func TestKernelPackages(t *testing.T) {
 		"spotserve/internal/engine", "spotserve/internal/sim", "spotserve/internal/core",
 		"spotserve/internal/reconfig", "spotserve/internal/km", "spotserve/internal/cost",
 		"spotserve/internal/market", "spotserve/internal/scenario", "spotserve/internal/metrics",
-		"spotserve/internal/experiments",
+		"spotserve/internal/experiments", "spotserve/internal/cloud", "spotserve/internal/workload",
 	} {
 		if !analysis.IsKernelPackage(p) {
 			t.Errorf("IsKernelPackage(%s) = false", p)
@@ -65,8 +65,8 @@ func TestKernelPackages(t *testing.T) {
 		t.Error("IsInternalPackage(spotserve/cmd/spotserve) = true")
 	}
 	ks := analysis.KernelPackages()
-	if len(ks) != 10 {
-		t.Fatalf("KernelPackages() has %d entries, want 10", len(ks))
+	if len(ks) != 12 {
+		t.Fatalf("KernelPackages() has %d entries, want 12", len(ks))
 	}
 	for i := 1; i < len(ks); i++ {
 		if ks[i-1] >= ks[i] {

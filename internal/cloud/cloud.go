@@ -199,9 +199,6 @@ func (p Params) TypeList() []InstanceType {
 	}}
 }
 
-// Heterogeneous reports whether the fleet mixes instance types.
-func (p Params) Heterogeneous() bool { return len(p.Types) > 1 }
-
 // Validate checks the provider configuration, including the instance-type
 // table: a zero grace period (instant reclamation) is legal, a negative one
 // is not; acquisition delays may not be negative; every declared type must
@@ -226,8 +223,15 @@ func (p Params) Validate() error {
 		seen[t.Name] = true
 	}
 	if p.Market != nil {
-		for name, c := range p.Market.Curves {
-			if err := c.Validate(); err != nil {
+		// Name order, so that of several invalid curves the error always
+		// names the same one.
+		names := make([]string, 0, len(p.Market.Curves))
+		for name := range p.Market.Curves {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			if err := p.Market.Curves[name].Validate(); err != nil {
 				return fmt.Errorf("cloud: market curve %q: %v", name, err)
 			}
 		}
@@ -269,7 +273,8 @@ type Cloud struct {
 
 	nextInstID int64
 	nextGPUID  int64
-	instances  map[int64]*Instance
+	// instances holds every instance ever created, in ID order.
+	instances []*Instance
 	// spotLaunches counts spot launches so heterogeneous fleets cycle
 	// through the type table deterministically.
 	spotLaunches int
@@ -286,12 +291,11 @@ func New(s *sim.Simulator, p Params, l Listener) *Cloud {
 		panic(err)
 	}
 	return &Cloud{
-		sim:       s,
-		params:    p,
-		listener:  l,
-		rng:       rand.New(rand.NewSource(p.Seed)),
-		meter:     metrics.NewCostMeter(s.Now),
-		instances: make(map[int64]*Instance),
+		sim:      s,
+		params:   p,
+		listener: l,
+		rng:      rand.New(rand.NewSource(p.Seed)),
+		meter:    metrics.NewCostMeter(s.Now),
 	}
 }
 
@@ -336,7 +340,7 @@ func (c *Cloud) newInstance(kind Kind, typ InstanceType) *Instance {
 		inst.GPUs = append(inst.GPUs, &GPU{ID: c.nextGPUID, Slot: s, Inst: inst})
 		c.nextGPUID++
 	}
-	c.instances[inst.ID] = inst
+	c.instances = append(c.instances, inst)
 	return inst
 }
 
@@ -445,7 +449,6 @@ func (c *Cloud) liveSpot() []*Instance {
 			out = append(out, inst)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
@@ -579,7 +582,6 @@ func (c *Cloud) Alive() []*Instance {
 			out = append(out, inst)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	c.aliveCache = out
 	return out
 }

@@ -20,6 +20,28 @@ func staircase(typeName string, a, b, h, horizon float64) market.Curve {
 	return c
 }
 
+// TestValidateDeterministicCurveOrder is the regression test for Validate
+// ranging over the market's curve map: with two invalid curves, the error
+// named whichever one map order visited first. Curves are now checked in
+// name order, so every call names "a".
+func TestValidateDeterministicCurveOrder(t *testing.T) {
+	p := DefaultParams()
+	p.Market = &market.Market{Process: "test", Curves: map[string]market.Curve{
+		"b": {Type: "b"},
+		"a": {Type: "a"},
+	}}
+	want := `cloud: market curve "a": market: curve "a" must start with a sample at t=0`
+	for i := 0; i < 50; i++ {
+		err := p.Validate()
+		if err == nil {
+			t.Fatal("invalid curves accepted")
+		}
+		if err.Error() != want {
+			t.Fatalf("run %d: Validate() = %q, want %q", i, err.Error(), want)
+		}
+	}
+}
+
 // TestMarketBillingIntegration is the acceptance gate for time-varying
 // billing: with a market configured, the meter's piecewise integral over an
 // instance's exact lifetime must match the closed-form sum of the sampled

@@ -1,30 +1,28 @@
-package baseline
+package core
 
 import (
 	"testing"
 
 	"spotserve/internal/cloud"
-	"spotserve/internal/core"
 	"spotserve/internal/model"
 	"spotserve/internal/sim"
 	"spotserve/internal/trace"
 	"spotserve/internal/workload"
 )
 
-type system interface {
+// serve builds a system with build, replays tr with CV=6 arrivals at rate,
+// and runs 900 s past the horizon to drain.
+func serve[S interface {
 	Install()
-	LoadWorkload(reqs []workload.Request, horizon float64)
-	Stats() core.Stats
-}
-
-func run(t *testing.T, build func(*sim.Simulator, *cloud.Cloud, core.Options) system,
-	spec model.Spec, tr trace.Trace, rate float64, seed int64) core.Stats {
+	LoadWorkload([]workload.Request, float64)
+	Stats() Stats
+}](t *testing.T, build func(*sim.Simulator, *cloud.Cloud, Options) S, spec model.Spec, tr trace.Trace, rate float64, seed int64) Stats {
 	t.Helper()
 	s := sim.New()
 	cp := cloud.DefaultParams()
 	cp.Seed = seed
 	cl := cloud.New(s, cp, nil)
-	opts := core.DefaultOptions(spec)
+	opts := DefaultOptions(spec)
 	opts.BaseRate = rate
 	sys := build(s, cl, opts)
 	sys.Install()
@@ -43,21 +41,8 @@ func run(t *testing.T, build func(*sim.Simulator, *cloud.Cloud, core.Options) sy
 	return sys.Stats()
 }
 
-func buildReparallel(s *sim.Simulator, cl *cloud.Cloud, o core.Options) system {
-	return NewReparallel(s, cl, o)
-}
-
-func buildReroute(s *sim.Simulator, cl *cloud.Cloud, o core.Options) system {
-	return NewReroute(s, cl, o)
-}
-
-func steady(n int, horizon float64) trace.Trace {
-	return trace.Trace{Name: "steady", Horizon: horizon,
-		Events: []trace.Event{{At: 0, Count: n}}}
-}
-
 func TestReparallelSteadyState(t *testing.T) {
-	st := run(t, buildReparallel, model.OPT6B7, steady(6, 600), 1.0, 1)
+	st := serve(t, NewReparallel, model.OPT6B7, steadyTrace(6, 600), 1.0, 1)
 	if st.Completed != st.Submitted {
 		t.Fatalf("completed %d of %d", st.Completed, st.Submitted)
 	}
@@ -67,14 +52,14 @@ func TestReparallelSteadyState(t *testing.T) {
 }
 
 func TestRerouteSteadyState(t *testing.T) {
-	st := run(t, buildReroute, model.OPT6B7, steady(6, 600), 1.0, 1)
+	st := serve(t, NewReroute, model.OPT6B7, steadyTrace(6, 600), 1.0, 1)
 	if st.Completed != st.Submitted {
 		t.Fatalf("completed %d of %d", st.Completed, st.Submitted)
 	}
 }
 
 func TestReparallelRestartsOnPreemption(t *testing.T) {
-	st := run(t, buildReparallel, model.GPT20B, trace.AS(), 0.35, 2)
+	st := serve(t, NewReparallel, model.GPT20B, trace.AS(), 0.35, 2)
 	if st.Reloads == 0 {
 		t.Fatal("no restarts on a preemption trace")
 	}
@@ -87,7 +72,7 @@ func TestReparallelRestartsOnPreemption(t *testing.T) {
 }
 
 func TestRerouteDropsPipelines(t *testing.T) {
-	st := run(t, buildReroute, model.GPT20B, trace.AS(), 0.35, 2)
+	st := serve(t, NewReroute, model.GPT20B, trace.AS(), 0.35, 2)
 	if st.Completed < st.Submitted/2 {
 		t.Fatalf("completed only %d of %d", st.Completed, st.Submitted)
 	}
@@ -101,13 +86,9 @@ func TestRerouteDropsPipelines(t *testing.T) {
 // preemption trace, SpotServe's P99 must beat Reparallelization, which in
 // turn should generally beat or match Rerouting under overload.
 func TestSpotServeBeatsBaselines(t *testing.T) {
-	spot := func(s *sim.Simulator, cl *cloud.Cloud, o core.Options) system {
-		srv := core.NewServer(s, cl, o)
-		return spotAdapter{srv}
-	}
-	ss := run(t, spot, model.GPT20B, trace.BS(), 0.35, 3)
-	rp := run(t, buildReparallel, model.GPT20B, trace.BS(), 0.35, 3)
-	rr := run(t, buildReroute, model.GPT20B, trace.BS(), 0.35, 3)
+	ss := serve(t, NewServer, model.GPT20B, trace.BS(), 0.35, 3)
+	rp := serve(t, NewReparallel, model.GPT20B, trace.BS(), 0.35, 3)
+	rr := serve(t, NewReroute, model.GPT20B, trace.BS(), 0.35, 3)
 	t.Logf("P99: SpotServe=%.1f Reparallel=%.1f Reroute=%.1f", ss.Latency.P99, rp.Latency.P99, rr.Latency.P99)
 	t.Logf("Avg: SpotServe=%.1f Reparallel=%.1f Reroute=%.1f", ss.Latency.Avg, rp.Latency.Avg, rr.Latency.Avg)
 	if ss.Latency.P99 >= rp.Latency.P99 {
@@ -121,22 +102,14 @@ func TestSpotServeBeatsBaselines(t *testing.T) {
 	}
 }
 
-type spotAdapter struct{ srv *core.Server }
-
-func (a spotAdapter) Install() { a.srv.Install() }
-func (a spotAdapter) LoadWorkload(reqs []workload.Request, horizon float64) {
-	a.srv.LoadWorkload(reqs, horizon)
-}
-func (a spotAdapter) Stats() core.Stats { return a.srv.Stats() }
-
 func TestBaselinesDeterministic(t *testing.T) {
-	a := run(t, buildReparallel, model.GPT20B, trace.BS(), 0.35, 4)
-	b := run(t, buildReparallel, model.GPT20B, trace.BS(), 0.35, 4)
+	a := serve(t, NewReparallel, model.GPT20B, trace.BS(), 0.35, 4)
+	b := serve(t, NewReparallel, model.GPT20B, trace.BS(), 0.35, 4)
 	if a.Latency.P99 != b.Latency.P99 || a.Completed != b.Completed {
 		t.Fatal("Reparallelization not deterministic")
 	}
-	c := run(t, buildReroute, model.GPT20B, trace.BS(), 0.35, 4)
-	d := run(t, buildReroute, model.GPT20B, trace.BS(), 0.35, 4)
+	c := serve(t, NewReroute, model.GPT20B, trace.BS(), 0.35, 4)
+	d := serve(t, NewReroute, model.GPT20B, trace.BS(), 0.35, 4)
 	if c.Latency.P99 != d.Latency.P99 || c.Completed != d.Completed {
 		t.Fatal("Rerouting not deterministic")
 	}
@@ -145,7 +118,7 @@ func TestBaselinesDeterministic(t *testing.T) {
 func TestRerouteFixedShape(t *testing.T) {
 	s := sim.New()
 	cl := cloud.New(s, cloud.DefaultParams(), nil)
-	opts := core.DefaultOptions(model.GPT20B)
+	opts := DefaultOptions(model.GPT20B)
 	r := NewReroute(s, cl, opts)
 	r.Install()
 	if err := cl.ReplayTrace(trace.AS()); err != nil {
@@ -157,7 +130,7 @@ func TestRerouteFixedShape(t *testing.T) {
 	})
 	r.LoadWorkload(reqs, 1200)
 	s.Run(1500)
-	if r.Shape().IsZero() {
+	if r.Config().IsZero() {
 		t.Fatal("no shape chosen")
 	}
 	st := r.Stats()

@@ -3,7 +3,8 @@
 // interruption arranger with stateful inference recovery (§4), and the
 // orchestration that drives the reconfiguration pipeline of
 // internal/reconfig (optimizer §3.2, device mapper §3.3, migration planner
-// §3.4) end to end.
+// §3.4) end to end. The two comparison systems of §6.1, Reparallel and
+// Reroute, run on the same serving shell (shell.go) as the server.
 package core
 
 import (
@@ -148,22 +149,13 @@ type Stats struct {
 // Server is SpotServe's inference server: request manager, instance
 // manager and meta-context manager over one model deployment (Figure 3).
 type Server struct {
-	sim   *sim.Simulator
-	cloud *cloud.Cloud
-	est   *cost.Estimator
-	eng   *engine.Engine
-	rc    *reconfig.Engine
-	arr   *Arranger
-	opts  Options
+	shell
+	arr *Arranger
 
-	cfg    config.Config
-	assign map[config.Position]*cloud.GPU
-	pipes  map[int]*engine.Pipeline
 	// initialShape remembers the boot configuration for the
 	// controller-ablated mode.
 	initialShape config.Config
 
-	queue     []*engine.RequestState
 	recovered map[int]*engine.Batch // new pipeline id → batch to resume
 
 	arrivals []float64
@@ -179,7 +171,6 @@ type Server struct {
 	stopBudget      map[int]float64 // pipeline id → latest decode time
 	migrating       bool
 	epoch           int
-	dying           map[int64]bool // instance IDs under preemption notice
 
 	// pred forecasts preemption pressure for the adaptive pool.
 	pred *predict.Predictor
@@ -195,49 +186,27 @@ type Server struct {
 	// cloud.SignalConsumer — counters-only policies skip the signal
 	// computation entirely.
 	wantSignals bool
-
-	stats   Stats
-	horizon float64
 }
 
 // NewServer wires a server to a simulator and cloud. Call Install as the
 // cloud's listener before running.
 func NewServer(s *sim.Simulator, cl *cloud.Cloud, opts Options) *Server {
-	est := cost.Shared(opts.CostParams, opts.Spec)
-	rc := reconfig.NewEngine(reconfig.Options{
-		Spec:            opts.Spec,
-		Est:             est,
-		Limits:          opts.Limits,
-		GPUsPerInstance: opts.CostParams.GPUsPerInstance,
-		MaxInstances:    opts.MaxInstances,
-		SeqIn:           opts.SeqIn,
-		SeqOut:          opts.SeqOut,
-		NaiveBuffer:     !opts.Features.MigrationPlanner,
-		SLOLatency:      opts.SLOLatency,
-		UseKM:           opts.Features.DeviceMapper,
-		Hierarchical:    opts.Features.Hierarchical,
-		Progressive:     opts.Features.MigrationPlanner,
-		MemOpt:          opts.Features.MigrationPlanner,
-		UmaxBytes:       opts.CostParams.BufMaxBytes,
-		MigrateCache:    opts.Features.Arranger,
-		DisableCache:    opts.DisableReconfigCache,
-	})
 	srv := &Server{
-		sim:        s,
-		cloud:      cl,
-		est:        est,
-		rc:         rc,
-		arr:        &Arranger{Est: est, Enabled: opts.Features.Arranger},
-		opts:       opts,
-		assign:     map[config.Position]*cloud.GPU{},
-		pipes:      map[int]*engine.Pipeline{},
 		recovered:  map[int]*engine.Batch{},
 		stopBudget: map[int]float64{},
-		dying:      map[int64]bool{},
 	}
+	srv.setup(s, cl, opts, reconfig.Options{
+		NaiveBuffer:  !opts.Features.MigrationPlanner,
+		SLOLatency:   opts.SLOLatency,
+		UseKM:        opts.Features.DeviceMapper,
+		Hierarchical: opts.Features.Hierarchical,
+		Progressive:  opts.Features.MigrationPlanner,
+		MemOpt:       opts.Features.MigrationPlanner,
+		UmaxBytes:    opts.CostParams.BufMaxBytes,
+		MigrateCache: opts.Features.Arranger,
+	}, (*serverHooks)(srv))
+	srv.arr = &Arranger{Est: srv.est, Enabled: opts.Features.Arranger}
 	_, srv.wantSignals = opts.Autoscaler.(cloud.SignalConsumer)
-	srv.eng = engine.New(s, est, (*serverHooks)(srv))
-	srv.eng.NoFastForward = opts.DisableFastForward
 	if opts.Features.AdaptivePool {
 		p, err := predict.New(predict.DefaultOptions())
 		if err != nil {
@@ -248,57 +217,16 @@ func NewServer(s *sim.Simulator, cl *cloud.Cloud, opts Options) *Server {
 	return srv
 }
 
-// Engine exposes the engine (tests, experiments).
-func (s *Server) Engine() *engine.Engine { return s.eng }
-
-// Config returns the current parallel configuration.
-func (s *Server) Config() config.Config { return s.cfg }
-
-// Stats returns a snapshot of the serving statistics.
-func (s *Server) Stats() Stats {
-	st := s.stats
-	st.CostUSD = s.cloud.CostUSD()
-	if st.Latencies != nil {
-		st.Latency = st.Latencies.Summarize()
-	}
-	st.ReconfigCache = s.rc.CacheStats()
-	return st
-}
-
-// Reconfig exposes the reconfiguration engine (tests, experiments).
-func (s *Server) Reconfig() *reconfig.Engine { return s.rc }
-
-// LoadWorkload schedules request arrivals and the workload monitor; horizon
-// bounds the periodic checks.
+// LoadWorkload schedules request arrivals and the workload monitor. The
+// monitor ticks through a drain window of 1800 s past the horizon, so a
+// poor configuration chosen near the horizon still gets corrected.
 func (s *Server) LoadWorkload(reqs []workload.Request, horizon float64) {
-	s.horizon = horizon
-	if s.stats.Latencies == nil {
-		s.stats.Latencies = &metrics.Latencies{}
-	}
-	// One slab holds every request's state: per-arrival allocations in
-	// submit would dominate the steady-state profile.
-	states := make([]engine.RequestState, len(reqs))
-	for i, r := range reqs {
-		states[i].Req = r
-		s.stats.Submitted++
-	}
-	s.sim.Series(len(states), func(i int) float64 { return states[i].Req.At },
-		func(i int) { s.submit(&states[i]) })
-	// Workload monitor ticks, continuing through the drain window so a
-	// poor configuration chosen near the horizon still gets corrected.
-	var ticks []float64
-	for t := s.opts.CheckInterval; t < horizon+1800; t += s.opts.CheckInterval {
-		ticks = append(ticks, t)
-	}
-	s.sim.Series(len(ticks), func(i int) float64 { return ticks[i] },
-		func(int) { s.workloadCheck() })
-	// Bootstrap after the cloud's t=0 events.
-	s.sim.At(0, func() { s.bootstrap() })
+	s.load(reqs, horizon+1800, s.arrived, s.workloadCheck, s.bootstrap)
 }
 
-func (s *Server) submit(r *engine.RequestState) {
+// arrived records a queued arrival for the α_t estimate and dispatches it.
+func (s *Server) arrived(r *engine.RequestState) {
 	s.arrivals = append(s.arrivals, r.Req.At)
-	s.queue = append(s.queue, r)
 	s.tryDispatch()
 }
 
@@ -334,67 +262,6 @@ func (s *Server) alphaT() float64 {
 	return observed + float64(len(s.queue))/backlogDrainTarget
 }
 
-// usableGPUs returns GPUs of running, not-dying instances.
-func (s *Server) usableGPUs() []*cloud.GPU {
-	var out []*cloud.GPU
-	for _, inst := range s.cloud.Alive() {
-		if s.dying[inst.ID] || inst.State != cloud.Running {
-			continue
-		}
-		out = append(out, inst.GPUs...)
-	}
-	return out
-}
-
-// usableGPUCount returns len(usableGPUs()) without building the slice (the
-// periodic workload monitor only needs the count).
-func (s *Server) usableGPUCount() int {
-	n := 0
-	for _, inst := range s.cloud.Alive() {
-		if s.dying[inst.ID] || inst.State != cloud.Running {
-			continue
-		}
-		n += len(inst.GPUs)
-	}
-	return n
-}
-
-// usableSpeedFloor returns the slowest usable GPU's speed multiplier — the
-// conservative correction the optimizer plans with on mixed fleets (1.0 on
-// homogeneous ones).
-func (s *Server) usableSpeedFloor() float64 {
-	floor := 1.0
-	first := true
-	for _, inst := range s.cloud.Alive() {
-		if s.dying[inst.ID] || inst.State != cloud.Running {
-			continue
-		}
-		if sp := inst.GPUSpeed(); first || sp < floor {
-			floor = sp
-			first = false
-		}
-	}
-	return floor
-}
-
-// usableMemFloor returns the smallest usable instance's memory multiplier —
-// shape feasibility is checked against it, so proposals fit the fleet's
-// smallest-memory device (1.0 on homogeneous fleets).
-func (s *Server) usableMemFloor() float64 {
-	floor := 1.0
-	first := true
-	for _, inst := range s.cloud.Alive() {
-		if s.dying[inst.ID] || inst.State != cloud.Running {
-			continue
-		}
-		if ms := inst.MemScale(); first || ms < floor {
-			floor = ms
-			first = false
-		}
-	}
-	return floor
-}
-
 // deviceContexts snapshots daemon contexts for the given GPUs into *buf,
 // reusing its storage. A snapshot is valid until the next call with the
 // same buffer; reconfig reads one only during the Map or Plan call it is
@@ -421,21 +288,20 @@ func (s *Server) bootstrap() {
 	if !s.cfg.IsZero() {
 		return
 	}
-	gpus := s.usableGPUs()
-	prop := s.propose(len(gpus))
+	n := s.usableGPUCount()
+	prop := s.propose(n)
 	// Grow the fleet toward the unbounded proposal (on-demand mixing),
 	// but deploy what fits right now.
 	s.manageFleet(prop)
 	target := prop.Config
-	if target.GPUs() > len(gpus) {
-		alpha := s.alphaT()
+	if target.GPUs() > n {
 		if s.opts.Features.Controller {
-			target = s.rc.Propose(s.request(alpha, len(gpus), len(gpus))).Config
+			target = s.optimize(s.alphaT(), n, n).Config
 		} else {
-			target = reconfig.FitToInstances(target, len(gpus))
+			target = reconfig.FitToInstances(target, n)
 		}
 	}
-	if target.IsZero() || target.GPUs() > len(gpus) {
+	if target.IsZero() || target.GPUs() > n {
 		return
 	}
 	s.initialShape = target
@@ -443,24 +309,15 @@ func (s *Server) bootstrap() {
 	s.tryDispatch()
 }
 
-// request assembles the reconfiguration Request for the current fleet: the
-// canonical fleet signature (device counts plus the speed and memory
-// floors, so mixed fleets are planned for their slowest and
-// smallest-memory usable device) and the workload rate.
-func (s *Server) request(alpha float64, gpusAvail, maxGPUs int) reconfig.Request {
-	req := reconfig.Request{
-		Alpha:      alpha,
-		GPUsAvail:  gpusAvail,
-		MaxGPUs:    maxGPUs,
-		SpeedFloor: s.usableSpeedFloor(),
-		MemFloor:   s.usableMemFloor(),
-	}
+// optimize runs the configuration optimizer on the usable fleet's request.
+// With the adaptive pool, expected near-term preemptions translate into
+// extra standby instances.
+func (s *Server) optimize(alpha float64, gpus, maxGPUs int) reconfig.Proposal {
+	req := s.request(alpha, gpus, maxGPUs)
 	if s.pred != nil {
-		// Adaptive candidate pool: expected near-term preemptions
-		// translate into extra standby instances.
 		req.ReservePool = s.pred.RecommendedPool(s.sim.Now(), 2)
 	}
-	return req
+	return s.rc.Propose(req)
 }
 
 // propose runs the configuration optimizer over the currently usable GPU
@@ -474,16 +331,15 @@ func (s *Server) propose(gpus int) reconfig.Proposal {
 	if !s.opts.Features.Controller && !s.initialShape.IsZero() {
 		// No optimizer run, but the throughput monitor still reads φ(C)
 		// through the engine — keep its fleet floors current.
-		optz := s.rc.Optimizer()
-		optz.SpeedFloor = s.usableSpeedFloor()
-		optz.MemFloor = s.usableMemFloor()
+		optz, req := s.rc.Optimizer(), s.request(alpha, gpus, gpus)
+		optz.SpeedFloor, optz.MemFloor = req.SpeedFloor, req.MemFloor
 		c := reconfig.FitToInstances(s.initialShape, gpus)
 		return reconfig.Proposal{Config: c, WantInstances: gpus / gpi, WantGPUs: gpus}
 	}
 	if s.opts.Features.AllowOnDemand {
-		return s.rc.Propose(s.request(alpha, gpus, s.opts.MaxInstances*gpi))
+		return s.optimize(alpha, gpus, s.opts.MaxInstances*gpi)
 	}
-	return s.rc.Propose(s.request(alpha, gpus, gpus))
+	return s.optimize(alpha, gpus, gpus)
 }
 
 // preemptionWindow is the look-back over which the autoscaler's
@@ -571,13 +427,6 @@ func (s *Server) fleetTarget(prop reconfig.Proposal, spot, pSpot, od, pOD int) i
 	return want
 }
 
-// fleetGPUs sums the GPUs of non-terminated, non-dying instances — the
-// device-denominated counterpart of the instance counting above, exact on
-// fleets whose instance types carry different GPU counts.
-func (s *Server) fleetGPUs() int {
-	return s.cloud.GPUCount(func(id int64) bool { return s.dying[id] })
-}
-
 // manageFleet allocates or releases instances toward the proposal
 // (Algorithm 1 lines 6–10): allocate on-demand when allowed, free
 // on-demand first, and keep the reserve pool. The comparison is
@@ -622,24 +471,13 @@ func (s *Server) manageFleet(prop reconfig.Proposal) {
 			if inst.Kind != cloud.OnDemand || s.dying[inst.ID] {
 				continue
 			}
-			if s.instanceInUse(inst) {
+			if s.hosts(inst) {
 				continue
 			}
 			s.cloud.Release(inst)
 			haveGPUs -= len(inst.GPUs)
 		}
 	}
-}
-
-// instanceInUse reports whether any GPU of inst is in the current mesh.
-func (s *Server) instanceInUse(inst *cloud.Instance) bool {
-	//detlint:allow maprange — existential scan with pure reads: the answer is whether ANY assigned GPU belongs to inst, identical under every visit order
-	for _, g := range s.assign {
-		if g.Inst.ID == inst.ID {
-			return true
-		}
-	}
-	return false
 }
 
 // installConfig binds cfg over the current usable GPUs with the given
@@ -659,10 +497,9 @@ func (s *Server) installConfig(cfg config.Config, ready []float64, reason string
 // applyMapping installs an already-computed mapping.
 func (s *Server) applyMapping(cfg config.Config, mapping reconfig.Mapping, ready []float64, reason string) {
 	s.cfg = cfg
-	s.assign = mapping.Assign
-	s.pipes = map[int]*engine.Pipeline{}
+	s.pipes = make([]*engine.Pipeline, cfg.D)
 	now := s.sim.Now()
-	for d := 0; d < cfg.D; d++ {
+	for d := range s.pipes {
 		bind := map[config.Position]*cloud.GPU{}
 		for p := 0; p < cfg.P; p++ {
 			for m := 0; m < cfg.M; m++ {
@@ -670,18 +507,9 @@ func (s *Server) applyMapping(cfg config.Config, mapping reconfig.Mapping, ready
 				bind[pos] = mapping.Assign[pos]
 			}
 		}
-		pipe, err := s.eng.NewPipeline(d, cfg, bind)
-		if err != nil {
-			panic(fmt.Sprintf("core: applyMapping: %v", err))
-		}
-		if ready != nil {
-			for p := 0; p < cfg.P; p++ {
-				pipe.SetStageReady(p, ready[p])
-			}
-		}
-		// Mixed fleets: the pipeline decodes at its slowest GPU's pace.
-		if slow := PipelineSlowdown(bind); slow != 1 {
-			pipe.SetSlowdown(slow)
+		pipe := s.newPipeline(d, cfg, bind)
+		for p, t := range ready {
+			pipe.SetStageReady(p, t)
 		}
 		s.pipes[d] = pipe
 	}
@@ -694,39 +522,14 @@ func (s *Server) applyMapping(cfg config.Config, mapping reconfig.Mapping, ready
 	s.stats.ConfigLog = append(s.stats.ConfigLog, ConfigChange{At: now, Config: cfg, Reason: reason})
 }
 
-// tryDispatch feeds idle pipelines: recovered batches first (they resume on
-// their inheriting pipeline), then fresh batches from the queue.
+// tryDispatch feeds idle pipelines outside a reconfiguration: recovered
+// batches first (they resume on their inheriting pipeline), then fresh
+// batches from the queue.
 func (s *Server) tryDispatch() {
 	if s.pendingReconfig || s.migrating {
 		return
 	}
-	// Pipeline ids are dense 0..D-1 (applyMapping), so index order is id
-	// order without collecting and sorting keys.
-	for id := 0; id < len(s.pipes); id++ {
-		pipe := s.pipes[id]
-		if pipe.Busy() {
-			continue
-		}
-		if b, ok := s.recovered[id]; ok {
-			delete(s.recovered, id)
-			if b.Size() > 0 {
-				pipe.Start(b)
-				continue
-			}
-		}
-		if len(s.queue) == 0 {
-			continue
-		}
-		n := s.cfg.B
-		if n > len(s.queue) {
-			n = len(s.queue)
-		}
-		// The batch owns a copy of its n requests so queue appends can
-		// never alias its backing array; the queue just advances.
-		b := &engine.Batch{Requests: append(make([]*engine.RequestState, 0, n), s.queue[:n]...)}
-		s.queue = s.queue[n:]
-		pipe.Start(b)
-	}
+	s.dispatch(s.recovered)
 }
 
 // workloadCheck is the periodic monitor. Per §3.2 the optimizer "mainly
@@ -783,16 +586,14 @@ func (s *Server) beginReconfig(target config.Config, reason string, deadline flo
 		}
 	}
 	anyBusy := false
-	// Id order (pipeline ids are dense 0..D-1): interrupting a
-	// fast-forward run reschedules its boundary event, and event
-	// scheduling order must be deterministic.
-	for id := 0; id < len(s.pipes); id++ {
-		pipe := s.pipes[id]
+	// Id order: interrupting a fast-forward run reschedules its boundary
+	// event, and event scheduling order must be deterministic.
+	for _, pipe := range s.pipes {
 		if !pipe.Busy() {
 			continue
 		}
 		anyBusy = true
-		s.stopBudget[id] = budget
+		s.stopBudget[pipe.ID] = budget
 		if !s.opts.Features.Arranger || budget <= now {
 			pipe.RequestStop()
 		} else {
@@ -840,8 +641,8 @@ func (s *Server) estimateMigration(target config.Config) float64 {
 // stopAllPipelines requests a boundary stop on every busy pipeline in
 // deterministic order (stops may reschedule fast-forward boundary events).
 func (s *Server) stopAllPipelines() {
-	for id := 0; id < len(s.pipes); id++ {
-		if pipe := s.pipes[id]; pipe.Busy() {
+	for _, pipe := range s.pipes {
+		if pipe.Busy() {
 			pipe.RequestStop()
 		}
 	}
@@ -849,7 +650,6 @@ func (s *Server) stopAllPipelines() {
 
 // pipelinesIdle reports whether every pipeline stopped decoding.
 func (s *Server) pipelinesIdle() bool {
-	//detlint:allow maprange — existential scan: Busy() is a pure read and the loop only answers whether any pipeline still decodes
 	for _, pipe := range s.pipes {
 		if pipe.Busy() {
 			return false
@@ -872,8 +672,7 @@ func (s *Server) executeMigration(target config.Config) {
 			// Nothing can serve; park everything in the queue.
 			s.parkAllBatches()
 			s.cfg = config.Zero
-			s.pipes = map[int]*engine.Pipeline{}
-			s.assign = map[config.Position]*cloud.GPU{}
+			s.pipes = nil
 			return
 		}
 	}
@@ -935,22 +734,20 @@ func (s *Server) executeMigration(target config.Config) {
 func (s *Server) collectBatches(target config.Config) (map[int]*engine.Batch, map[int]int) {
 	paused := map[int]*engine.Batch{}
 	progress := map[int]int{}
-	// Pipeline ids are dense 0..D-1 (see stopAllPipelines); iterate in id
-	// order so aborts — which mutate engine state — happen in a fixed
-	// sequence rather than map order.
-	for id := 0; id < len(s.pipes); id++ {
-		pipe := s.pipes[id]
+	// Id order, so aborts — which mutate engine state — happen in a fixed
+	// sequence.
+	for _, pipe := range s.pipes {
 		var b *engine.Batch
 		if pipe.Busy() {
 			b = pipe.Abort() // only sub-iteration work is lost
-		} else if rb, ok := s.recovered[id]; ok {
+		} else if rb, ok := s.recovered[pipe.ID]; ok {
 			b = rb
 		}
 		if b == nil || b.Size() == 0 {
 			continue
 		}
-		paused[id] = b
-		progress[id] = b.Progress()
+		paused[pipe.ID] = b
+		progress[pipe.ID] = b.Progress()
 	}
 	s.recovered = map[int]*engine.Batch{}
 
@@ -976,50 +773,17 @@ func (s *Server) collectBatches(target config.Config) (map[int]*engine.Batch, ma
 		s.stats.TokensRecovered += b.Progress()
 		newD++
 	}
-	// Discarded batches restart from scratch at the queue front.
+	// Discarded batches restart from scratch at the queue front, in id
+	// order.
 	var requeue []*engine.RequestState
-	ids := make([]int, 0, len(paused))
-	for id := range paused {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		if keepSet[id] {
-			continue
-		}
-		b := paused[id]
-		s.stats.CacheGiveUps++
-		for _, r := range b.Requests {
-			if r.Done() {
-				continue
-			}
-			r.Committed = 0
-			r.Restarts++
-			requeue = append(requeue, r)
+	for _, pipe := range s.pipes {
+		if b, ok := paused[pipe.ID]; ok && !keepSet[pipe.ID] {
+			s.stats.CacheGiveUps++
+			requeue = restartInto(requeue, b)
 		}
 	}
 	s.queue = append(requeue, s.queue...)
 	return kept, inherit
-}
-
-// PipelineSlowdown returns the iteration-duration multiplier for a
-// pipeline binding: 1/minSpeed over its GPUs. Homogeneous baseline fleets
-// (speed 1 everywhere) return exactly 1. The baselines share it so mixed
-// fleets slow every system equally.
-func PipelineSlowdown(bind map[config.Position]*cloud.GPU) float64 {
-	minSpeed := 1.0
-	first := true
-	//detlint:allow maprange — min-fold over pure reads: the minimum of a set is the same value under every visit order (float comparison is exact)
-	for _, g := range bind {
-		if sp := g.Inst.GPUSpeed(); first || sp < minSpeed {
-			minSpeed = sp
-			first = false
-		}
-	}
-	if minSpeed == 1 || minSpeed <= 0 {
-		return 1
-	}
-	return 1 / minSpeed
 }
 
 // cacheBytesOf is the full KV footprint of a batch.
@@ -1030,12 +794,11 @@ func cacheBytesOf(spec model.Spec, b *engine.Batch) float64 {
 // parkAllBatches aborts everything and requeues requests (no capacity).
 func (s *Server) parkAllBatches() {
 	var requeue []*engine.RequestState
-	for id := 0; id < len(s.pipes); id++ {
-		pipe := s.pipes[id]
+	for _, pipe := range s.pipes {
 		var b *engine.Batch
 		if pipe.Busy() {
 			b = pipe.Abort()
-		} else if rb, ok := s.recovered[id]; ok {
+		} else if rb, ok := s.recovered[pipe.ID]; ok {
 			b = rb
 		}
 		if b == nil {
@@ -1109,7 +872,7 @@ func (c *cloudEvents) PreemptionNotice(inst *cloud.Instance, deadline float64) {
 	if s.stats.Latencies == nil {
 		return
 	}
-	if !s.instanceInUse(inst) {
+	if !s.hosts(inst) {
 		// A pool instance died; nothing to migrate.
 		return
 	}
@@ -1124,55 +887,33 @@ func (c *cloudEvents) PreemptionNotice(inst *cloud.Instance, deadline float64) {
 
 func (c *cloudEvents) InstanceTerminated(inst *cloud.Instance) {
 	s := (*Server)(c)
-	delete(s.dying, inst.ID)
-	for _, g := range inst.GPUs {
-		s.eng.DropDaemon(g.ID)
-	}
+	s.terminated(inst)
 	if s.stats.Latencies == nil {
 		return
 	}
 	// If the instance was still in the mesh (migration did not happen in
 	// time — overlapping interruptions, §4.2), the affected pipelines
 	// crash: caches are lost and requests restart.
-	if !s.instanceInUse(inst) {
+	if !s.hosts(inst) {
 		return
 	}
-	dead := map[int]bool{}
-	for pos, g := range s.assign {
-		if g.Inst.ID == inst.ID {
-			dead[pos.D] = true
-		}
-	}
 	var requeue []*engine.RequestState
-	ids := make([]int, 0, len(dead))
-	for d := range dead {
-		ids = append(ids, d)
-	}
-	sort.Ints(ids)
-	for _, d := range ids {
-		pipe := s.pipes[d]
-		if pipe == nil {
+	for _, pipe := range s.pipes {
+		if !runsOn(pipe, inst) {
 			continue
 		}
 		var b *engine.Batch
 		if pipe.Busy() {
 			b = pipe.Abort()
-		} else if rb, ok := s.recovered[d]; ok {
-			delete(s.recovered, d)
+		} else if rb, ok := s.recovered[pipe.ID]; ok {
+			delete(s.recovered, pipe.ID)
 			b = rb
 		}
 		if b == nil {
 			continue
 		}
 		s.stats.CacheGiveUps++
-		for _, r := range b.Requests {
-			if r.Done() {
-				continue
-			}
-			r.Committed = 0
-			r.Restarts++
-			requeue = append(requeue, r)
-		}
+		requeue = restartInto(requeue, b)
 	}
 	s.queue = append(requeue, s.queue...)
 	// Rebuild on the survivors.
@@ -1215,15 +956,12 @@ func (h *serverHooks) IterationDone(p *engine.Pipeline) bool {
 
 func (h *serverHooks) RequestDone(p *engine.Pipeline, r *engine.RequestState) {
 	s := (*Server)(h)
-	lat := r.DoneAt - r.Req.At
-	s.stats.Completed++
-	s.stats.Latencies.Add(lat)
-	s.stats.PerRequest.Add(r.Req.At, lat)
+	s.complete(r)
 	if s.wantSignals {
 		// Only signal-consuming policies read the latency window; for
 		// anything else the append would accumulate for the whole run
 		// unread.
-		s.latLog = append(s.latLog, metrics.Sample{At: r.DoneAt, Value: lat})
+		s.latLog = append(s.latLog, metrics.Sample{At: r.DoneAt, Value: r.DoneAt - r.Req.At})
 	}
 }
 
@@ -1256,11 +994,4 @@ func (h *serverHooks) BatchPaused(p *engine.Pipeline, b *engine.Batch) {
 func (s *Server) pendingTarget() config.Config {
 	prop := s.propose(s.usableGPUCount())
 	return reconfig.FitToInstances(prop.Config, s.usableGPUCount())
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

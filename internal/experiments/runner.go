@@ -7,8 +7,6 @@ import (
 	"spotserve/internal/core"
 	"spotserve/internal/sim"
 	"spotserve/internal/workload"
-
-	"spotserve/internal/baseline"
 )
 
 // runnable is the common surface of the three serving systems.
@@ -17,14 +15,6 @@ type runnable interface {
 	LoadWorkload(reqs []workload.Request, horizon float64)
 	Stats() core.Stats
 }
-
-type spotAdapter struct{ srv *core.Server }
-
-func (a spotAdapter) Install() { a.srv.Install() }
-func (a spotAdapter) LoadWorkload(reqs []workload.Request, horizon float64) {
-	a.srv.LoadWorkload(reqs, horizon)
-}
-func (a spotAdapter) Stats() core.Stats { return a.srv.Stats() }
 
 // Run executes one scenario to completion and collects its result.
 func Run(sc Scenario) Result {
@@ -64,11 +54,11 @@ func Run(sc Scenario) Result {
 	var sys runnable
 	switch sc.System {
 	case SpotServe, OnDemandOnly:
-		sys = spotAdapter{core.NewServer(s, cl, opts)}
+		sys = core.NewServer(s, cl, opts)
 	case Reparallel:
-		sys = baseline.NewReparallel(s, cl, opts)
+		sys = core.NewReparallel(s, cl, opts)
 	case Reroute:
-		sys = baseline.NewReroute(s, cl, opts)
+		sys = core.NewReroute(s, cl, opts)
 	default:
 		panic(fmt.Sprintf("experiments: unknown system %q", sc.System))
 	}
@@ -128,8 +118,8 @@ func Run(sc Scenario) Result {
 
 	res.Stats = sys.Stats()
 	res.Steps = s.Steps()
-	if srv, ok := sys.(spotAdapter); ok {
-		res.FinalConfig = srv.srv.Config()
+	if srv, ok := sys.(*core.Server); ok {
+		res.FinalConfig = srv.Config()
 	}
 	return res
 }

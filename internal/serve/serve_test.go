@@ -265,7 +265,8 @@ func TestQueueBackpressure(t *testing.T) {
 	// Hold the runner inside its first job so the queue genuinely fills:
 	// one job running, one occupying the single queue slot, third rejected.
 	release := make(chan struct{})
-	s.testJobStart = func(*Job) { <-release }
+	started := make(chan struct{}, 1)
+	s.testJobStart = func(*Job) { started <- struct{}{}; <-release }
 	defer close(release)
 
 	accepted := 0
@@ -301,6 +302,12 @@ func TestQueueBackpressure(t *testing.T) {
 	}
 	if accepted != 2 {
 		t.Fatalf("%d jobs accepted, want exactly 2 (1 running + 1 queued)", accepted)
+	}
+	// The held job has entered its run, so the counters see exactly one
+	// job running and one queued.
+	<-started
+	if st := s.StatsSnapshot(); st.JobsRunning != 1 || st.JobsQueued != 1 {
+		t.Fatalf("stats %+v, want 1 running and 1 queued", st)
 	}
 	// The rejected submissions must not appear in the job list.
 	resp, err := http.Get(ts.URL + "/jobs")
