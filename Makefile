@@ -61,10 +61,12 @@ race:
 
 # Focused race gate on the decode hot path: the span-commit engine and the
 # simulation kernel own the pooled state (span scratch buffers, event slabs,
-# free lists) that the sweep pool runs on every worker — fast to iterate on
-# when touching either.
+# free lists) that the sweep pool runs on every worker, and the cost model
+# owns the process-wide DecodeIter memo and closed-form span tables that
+# every worker reads and grows (TestConcurrentSpanUnitsMatchesSerial shares
+# them between goroutines) — fast to iterate on when touching any of them.
 race-engine:
-	$(GO) test -race ./internal/engine/ ./internal/sim/
+	$(GO) test -race ./internal/engine/ ./internal/sim/ ./internal/cost/
 
 # Focused race gate on the reconfiguration pipeline and the control plane
 # that drives it: the sweep pool runs both on every worker, sharing the
@@ -105,19 +107,23 @@ chaos:
 daemon-smoke:
 	$(GO) run ./examples/daemon > /dev/null
 
-# Short fuzz pass over the JSON wire formats (CI smoke; run longer locally
-# with -fuzztime=5m when touching a parser). Seed corpora live under each
-# package's testdata/fuzz/<FuzzName>/ and run as plain tests in `make test`.
+# Short fuzz pass over the JSON wire formats and the closed-form span times
+# (checked bit for bit against the sequential loop) — CI smoke; run longer
+# locally with -fuzztime=5m when touching a parser or the span planner. Seed
+# corpora live under each package's testdata/fuzz/<FuzzName>/ and run as
+# plain tests in `make test`.
 fuzz:
 	$(GO) test -fuzz=FuzzParseTrace$$ -fuzztime=15s ./internal/trace/
 	$(GO) test -fuzz=FuzzParseTraceEvents -fuzztime=15s ./internal/trace/
 	$(GO) test -fuzz=FuzzParseObservedTrace -fuzztime=15s ./internal/calibrate/
 	$(GO) test -fuzz=FuzzParseJobSpec -fuzztime=15s ./internal/scenario/
+	$(GO) test -fuzz=FuzzSpanClosedForm -fuzztime=15s ./internal/engine/
 
 # Coverage gate: per-package statement coverage must not drop below the
-# committed floors in COVER_floor.json (analysis, calibrate, core, engine,
-# reconfig, scenario, serve, sim). The test run lands in a temp file first so a failing
-# test fails the target instead of vanishing down an unchecked pipe.
+# committed floors in COVER_floor.json (analysis, calibrate, core, cost,
+# engine, reconfig, scenario, serve, sim). The test run lands in a temp file
+# first so a failing test fails the target instead of vanishing down an
+# unchecked pipe.
 cover:
 	$(GO) test -cover ./... > cover-out.tmp \
 		|| { cat cover-out.tmp; rm -f cover-out.tmp; exit 1; }

@@ -63,7 +63,7 @@ func main() {
 		floorPath = flag.String("floor", "COVER_floor.json", "floor JSON path")
 		write     = flag.Bool("write", false, "write the floor file from stdin results")
 		check     = flag.Bool("check", false, "compare stdin results against the floor file")
-		gate      = flag.String("gate", "spotserve/internal/analysis,spotserve/internal/calibrate,spotserve/internal/core,spotserve/internal/engine,spotserve/internal/reconfig,spotserve/internal/scenario,spotserve/internal/serve,spotserve/internal/sim",
+		gate      = flag.String("gate", "spotserve/internal/analysis,spotserve/internal/calibrate,spotserve/internal/core,spotserve/internal/cost,spotserve/internal/engine,spotserve/internal/reconfig,spotserve/internal/scenario,spotserve/internal/serve,spotserve/internal/sim",
 			"comma-separated packages recorded by -write (the -check gate is whatever the floor file lists)")
 	)
 	flag.Parse()

@@ -164,12 +164,14 @@ type Estimator struct {
 // fingerprint tests depend on this.
 type estMemo struct {
 	mu     sync.Mutex
-	decode map[shapeKey][]float64 // (P,M,B) → DecodeIter indexed by curLen (0 = unfilled)
+	decode map[shapeKey]*decodeTable
 	exec   map[execKey]*execTable
 	// feasible caches FeasibleShapesScaled results (the shape table
 	// Algorithm 1 re-enumerates on every fleet event). Values are shared
 	// read-only slices.
 	feasible map[feasKey][]config.Config
+	// spans holds the closed-form span-time prefix tables (span.go).
+	spans map[spanKey]*unitTable
 }
 
 // feasKey identifies one feasibility enumeration.
@@ -188,6 +190,32 @@ func limitsFingerprint(l config.Limits) string {
 
 // shapeKey identifies a (P, M, B) execution shape.
 type shapeKey struct{ p, m, b int }
+
+// decodeTable memoizes DecodeIter for one (P, M, B) over the sequence
+// lengths [lo, lo+len(v)) asked for so far — not from length 0, since runs
+// decode at lengths past S_in. DecodeIter is strictly positive, so 0 marks
+// an unfilled slot. A filled slot is never rewritten, and growing below lo
+// copies into a new array, so a slice DecodeRange handed out stays valid.
+type decodeTable struct {
+	lo int
+	v  []float64
+}
+
+// cover grows t to include lengths lo..hi; new slots are unfilled.
+func (t *decodeTable) cover(lo, hi int) {
+	switch {
+	case len(t.v) == 0:
+		t.lo, t.v = lo, make([]float64, hi-lo+1)
+		return
+	case lo < t.lo:
+		v := make([]float64, t.lo-lo+len(t.v))
+		copy(v[t.lo-lo:], t.v)
+		t.lo, t.v = lo, v
+	}
+	if n := hi - t.lo + 1; n > len(t.v) {
+		t.v = append(t.v, make([]float64, n-len(t.v))...)
+	}
+}
 
 // execKey identifies a (P, M, B, S_in) execution-latency table.
 type execKey struct{ p, m, b, sin int }
@@ -216,9 +244,10 @@ func NewEstimator(p Params, spec model.Spec) *Estimator {
 		panic(err)
 	}
 	return &Estimator{Params: p, Spec: spec, memo: &estMemo{
-		decode:   make(map[shapeKey][]float64),
+		decode:   make(map[shapeKey]*decodeTable),
 		exec:     make(map[execKey]*execTable),
 		feasible: make(map[feasKey][]config.Config),
+		spans:    make(map[spanKey]*unitTable),
 	}}
 }
 
@@ -316,24 +345,26 @@ func (e *Estimator) DecodeIter(P, M, B, curLen int) float64 {
 // Caller holds memo.mu. DecodeIter is strictly positive, so 0 marks
 // unfilled slots.
 func (e *Estimator) decodeLocked(P, M, B, curLen int) float64 {
-	key := shapeKey{P, M, B}
-	tab := e.memo.decode[key]
-	if curLen < len(tab) && tab[curLen] != 0 {
-		return tab[curLen]
+	t := e.decodeTableLocked(P, M, B)
+	if i := curLen - t.lo; i >= 0 && i < len(t.v) && t.v[i] != 0 {
+		return t.v[i]
 	}
+	t.cover(curLen, curLen)
 	v := e.decodeIterRaw(P, M, B, curLen)
-	if curLen >= len(tab) {
-		if curLen < cap(tab) {
-			tab = tab[:curLen+1]
-		} else {
-			grown := make([]float64, curLen+1, 2*curLen+16)
-			copy(grown, tab)
-			tab = grown
-		}
-		e.memo.decode[key] = tab
-	}
-	tab[curLen] = v
+	t.v[curLen-t.lo] = v
 	return v
+}
+
+// decodeTableLocked returns (creating on first use) the DecodeIter table
+// of one shape. Caller holds memo.mu.
+func (e *Estimator) decodeTableLocked(P, M, B int) *decodeTable {
+	key := shapeKey{P, M, B}
+	t := e.memo.decode[key]
+	if t == nil {
+		t = &decodeTable{}
+		e.memo.decode[key] = t
+	}
+	return t
 }
 
 // DecodeRange returns a read-only slice s with s[i] = DecodeIter(P, M, B,
@@ -350,24 +381,14 @@ func (e *Estimator) DecodeRange(P, M, B, lo, hi int) []float64 {
 		return out
 	}
 	e.memo.mu.Lock()
-	key := shapeKey{P, M, B}
-	tab := e.memo.decode[key]
-	if hi >= len(tab) {
-		if hi < cap(tab) {
-			tab = tab[:hi+1]
-		} else {
-			grown := make([]float64, hi+1, 2*hi+16)
-			copy(grown, tab)
-			tab = grown
-		}
-		e.memo.decode[key] = tab
-	}
-	for l := lo; l <= hi; l++ {
-		if tab[l] == 0 {
-			tab[l] = e.decodeIterRaw(P, M, B, l)
+	t := e.decodeTableLocked(P, M, B)
+	t.cover(lo, hi)
+	out := t.v[lo-t.lo : hi-t.lo+1 : hi-t.lo+1]
+	for i, v := range out {
+		if v == 0 {
+			out[i] = e.decodeIterRaw(P, M, B, lo+i)
 		}
 	}
-	out := tab[lo : hi+1 : hi+1]
 	e.memo.mu.Unlock()
 	return out
 }

@@ -13,6 +13,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"spotserve/internal/cloud"
@@ -175,7 +176,8 @@ type Hooks interface {
 	// from the next boundary on.
 	//
 	// Fast-forward is an execution-strategy change only: boundary times are
-	// accumulated with exactly the per-iteration floating-point operations,
+	// bit for bit those the per-iteration floating-point sums produce
+	// (accumulated the same way, or read from their exact closed form),
 	// and every externally observable read (RequestStop, Abort, Batch,
 	// Iterations, Engine.Daemon/Daemons) first commits the boundaries that
 	// have already passed on the virtual clock, so traces are
@@ -206,8 +208,9 @@ type Engine struct {
 }
 
 // spanScratch is the reusable workspace a pipeline plans fast-forward spans
-// in: the boundary-time table and segment index of the current plan, plus
-// the per-request remaining/length vectors used during planning.
+// in: the segment index of the current plan and the boundary times of its
+// loop-priced segments, plus the per-request remaining/length vectors used
+// during planning.
 type spanScratch struct {
 	times  []float64
 	segs   []ffSeg
@@ -307,14 +310,15 @@ type Pipeline struct {
 
 	// slowdown scales iteration durations for heterogeneous fleets: a
 	// pipeline runs at the speed of its slowest member GPU, so the control
-	// plane sets slowdown = 1/minSpeed. Zero or one leaves homogeneous
+	// plane sets slowdown = 1/minSpeed. One (the default) leaves homogeneous
 	// timings bit-identical to the untyped baseline.
 	slowdown float64
 
 	// Fast-forward span state. A span is the whole remaining life of the
-	// batch, planned once: sc.times holds every future iteration-boundary
-	// time, sc.segs partitions them into segments (the runs between
-	// consecutive request completions). ffCur is the current segment,
+	// batch, planned once: sc.segs partitions its future iteration
+	// boundaries into segments (the runs between consecutive request
+	// completions), each priced in closed form or with its boundary times
+	// in sc.times. ffCur is the current segment,
 	// ffDone the global index of the first uncommitted boundary, ffActive
 	// marks a segment event in flight, and ffPlanned/ffBatch guard reuse:
 	// a plan is only trusted after its current segment's live signature and
@@ -340,10 +344,15 @@ type Pipeline struct {
 
 // ffSeg is one segment of a planned fast-forward span: the run of
 // iterations ending at the next request completion. end is one past the
-// segment's last boundary index in sc.times; bsz/n/la/ld are the live-batch
-// signature the segment was planned from (batch size, iterations, max
-// active length, max done length) and start its planned start time —
-// re-validated against the live batch before the segment is armed.
+// segment's last global boundary index (its first is end-n); bsz/n/la/ld
+// are the live-batch signature the segment was planned from (batch size,
+// iterations, max active length, max done length) and start its planned
+// start time — re-validated against the live batch before the segment is
+// armed. stop is the time of its final boundary.
+//
+// A closed-form segment holds the prefix table and binade spacing its
+// boundary times follow from (see cost.Spacing); any other segment has
+// units.Sum == nil and its n boundary times in sc.times from toff.
 type ffSeg struct {
 	end   int
 	bsz   int
@@ -351,6 +360,10 @@ type ffSeg struct {
 	la    int
 	ld    int
 	start float64
+	stop  float64
+	units cost.UnitPrefix
+	u     float64
+	toff  int
 }
 
 // cacheRef pairs the daemon of a pipeline GPU, resolved once in
@@ -382,6 +395,7 @@ func (e *Engine) NewPipeline(id int, cfg config.Config, gpus map[config.Position
 		Cfg:          cfg,
 		GPUs:         gpus,
 		StageReadyAt: make([]float64, cfg.P),
+		slowdown:     1,
 		cacheRefs:    make([]cacheRef, 0, cfg.P*cfg.M),
 	}
 	for sp := 0; sp < cfg.P; sp++ {
@@ -425,15 +439,17 @@ func (p *Pipeline) SetStageReady(stage int, t float64) {
 // pipeline's GPUs so a mixed mesh decodes at its slowest device's pace.
 // f ≤ 0 or f == 1 keeps the baseline timings untouched. Must be set before
 // the pipeline starts a batch.
-func (p *Pipeline) SetSlowdown(f float64) { p.slowdown = f }
-
-// scaled applies the pipeline's slowdown to one iteration duration.
-func (p *Pipeline) scaled(d float64) float64 {
-	if p.slowdown > 0 && p.slowdown != 1 {
-		return d * p.slowdown
+func (p *Pipeline) SetSlowdown(f float64) {
+	if !(f > 0) {
+		f = 1
 	}
-	return d
+	p.slowdown = f
 }
+
+// scaled applies the pipeline's slowdown to one iteration duration (d·1 is
+// d exactly). The conversion rounds the product on its own, so it is never
+// fused into the sum it feeds: the span tables price the same rounded δ.
+func (p *Pipeline) scaled(d float64) float64 { return float64(d * p.slowdown) }
 
 // gateDelay returns how long the next iteration must additionally wait for
 // trailing stages still migrating: stage s contributes its readiness minus
@@ -576,21 +592,21 @@ func (p *Pipeline) beginFastForward() {
 	} else if s := &p.sc.segs[p.ffCur]; s.bsz != bsz || s.n != n || s.la != la || s.ld != ld || s.start != now {
 		p.buildSpan()
 	}
-	seg := p.sc.segs[p.ffCur]
 	p.ffActive = true
 	p.eng.ffPipes = append(p.eng.ffPipes, p)
-	p.iterEnd = p.sc.times[seg.end-1]
+	p.iterEnd = p.sc.segs[p.ffCur].stop
 	p.iterEv = p.eng.Sim.At(p.iterEnd, p.ffCompleteFn)
 }
 
 // buildSpan plans the batch's entire remaining life from the live state:
-// every future iteration-boundary time, partitioned into segments at
-// request completions. Boundary times accumulate with exactly the
-// floating-point operations of per-iteration scheduling (t_k = t_{k-1} +
-// DecodeIter at the batch's length after k commits), and each segment's
-// per-boundary durations are one bulk DecodeRange read — the identical
-// memo entries DecodeIter would return one by one — so the planned
-// timeline is bit-identical to stepping.
+// every future iteration boundary, partitioned into segments at request
+// completions. Boundary times are those of per-iteration scheduling
+// (t_k = t_{k-1} + DecodeIter at the batch's length after k commits), bit
+// for bit. A segment is priced in closed form from the shared prefix
+// tables (closedForm) when that is exact; otherwise its times accumulate
+// with exactly the per-iteration floating-point operations, over one bulk
+// DecodeRange read — the identical memo entries DecodeIter would return one
+// by one.
 func (p *Pipeline) buildSpan() {
 	b := p.batch
 	rem := p.sc.rem[:0]
@@ -610,6 +626,7 @@ func (p *Pipeline) buildSpan() {
 	times := p.sc.times[:0]
 	segs := p.sc.segs[:0]
 	cur := p.eng.Sim.Now()
+	end := 0
 	for {
 		bsz, n, la := 0, 0, 0
 		firstN := true
@@ -629,7 +646,7 @@ func (p *Pipeline) buildSpan() {
 		if bsz == 0 {
 			break
 		}
-		seg := ffSeg{bsz: bsz, n: n, la: la, ld: ld, start: cur}
+		seg := ffSeg{bsz: bsz, n: n, la: la, ld: ld, start: cur, toff: len(times)}
 		lo := la
 		if ld > lo {
 			lo = ld
@@ -638,16 +655,21 @@ func (p *Pipeline) buildSpan() {
 		if ld > hi {
 			hi = ld
 		}
-		iters := p.eng.Est.DecodeRange(p.Cfg.P, p.Cfg.M, bsz, lo, hi)
-		for k := 0; k < n; k++ {
-			curLen := la + k
-			if ld > curLen {
-				curLen = ld
+		if !p.closedForm(&seg, lo, hi) {
+			iters := p.eng.Est.DecodeRange(p.Cfg.P, p.Cfg.M, bsz, lo, hi)
+			for k := 0; k < n; k++ {
+				curLen := la + k
+				if ld > curLen {
+					curLen = ld
+				}
+				cur += p.scaled(iters[curLen-lo])
+				times = append(times, cur)
 			}
-			cur += p.scaled(iters[curLen-lo])
-			times = append(times, cur)
+			seg.stop = cur
 		}
-		seg.end = len(times)
+		cur = seg.stop
+		end += n
+		seg.end = end
 		segs = append(segs, seg)
 		for i := range rem {
 			if rem[i] <= 0 {
@@ -668,6 +690,77 @@ func (p *Pipeline) buildSpan() {
 	p.ffPlanned = true
 }
 
+// closedForm prices segment s, whose iterations run at lengths lo..hi, in
+// closed form: t_j = start + u·K_j with K_j from the shared prefix table of
+// its binade (cost.SpanUnits). That is exact when start is a normal float,
+// no length holds a tie, and the final boundary stays in start's binade —
+// start/u + K_n < 2^53. It reports false (leaving the segment to the loop)
+// otherwise, and sets s.stop, s.units and s.u on success.
+func (p *Pipeline) closedForm(s *ffSeg, lo, hi int) bool {
+	u, ok := cost.Spacing(s.start)
+	if !ok {
+		return false
+	}
+	// start/u is an integer in [2^52, 2^53), exactly.
+	budget := 1<<53 - 1 - int64(s.start/u)
+	units, ok := p.eng.Est.SpanUnits(p.Cfg.P, p.Cfg.M, s.bsz, p.slowdown, u, lo, hi, budget)
+	if !ok {
+		return false
+	}
+	k, ok := unitsAfter(units, s.la, s.ld, s.n, budget)
+	if !ok {
+		return false
+	}
+	s.units, s.u = units, u
+	s.stop = spanTime(s.start, u, k)
+	return true
+}
+
+// unitsAfter returns K_j, the number of spacings the first j iterations of
+// a segment advance the clock by, from the prefix table t: with max active
+// length la and max done length ld, the first min(ld−la, j) iterations run
+// at the plateau length ld, the rest at la+k. ok is false when K_j exceeds
+// budget.
+func unitsAfter(t cost.UnitPrefix, la, ld, j int, budget int64) (int64, bool) {
+	var k int64
+	lo := la
+	if m := ld - la; m > 0 {
+		if m > j {
+			m = j
+		}
+		r := t.At(ld+1) - t.At(ld)
+		if r > 0 && int64(m) > budget/r {
+			return 0, false
+		}
+		k = int64(m) * r
+		lo = ld
+	}
+	if la+j > lo {
+		tail := t.At(la+j) - t.At(lo)
+		if tail > budget-k {
+			return 0, false
+		}
+		k += tail
+	}
+	return k, true
+}
+
+// spanTime returns t0 + u·k. Both terms are multiples of u and the sum
+// stays in t0's binade, so it is exact; the conversion keeps the product
+// from being fused into the sum all the same.
+func spanTime(t0, u float64, k int64) float64 {
+	return t0 + float64(u*float64(k))
+}
+
+// boundary returns the time of segment s's j-th boundary, 1 ≤ j ≤ s.n.
+func (p *Pipeline) boundary(s *ffSeg, j int) float64 {
+	if s.units.Sum == nil {
+		return p.sc.times[s.toff+j-1]
+	}
+	k, _ := unitsAfter(s.units, s.la, s.ld, j, math.MaxInt64)
+	return spanTime(s.start, s.u, k)
+}
+
 // invalidateSpan drops the span plan (the buffers stay for reuse).
 func (p *Pipeline) invalidateSpan() {
 	p.ffPlanned = false
@@ -683,16 +776,37 @@ func (p *Pipeline) sync() {
 	if !p.ffActive {
 		return
 	}
-	now := p.eng.Sim.Now()
-	k := p.ffDone
-	last := p.sc.segs[p.ffCur].end - 1 // final boundary stays with its event
-	for k < last && p.sc.times[k] <= now {
-		k++
-	}
+	k := p.passed(&p.sc.segs[p.ffCur], p.ffDone, p.eng.Sim.Now())
 	if k == p.ffDone {
 		return
 	}
 	p.commitThrough(k)
+}
+
+// passed returns the global index of the first boundary of segment s, from
+// index k on, that lies after now. It stops at s's final boundary, which
+// stays with the segment's event.
+func (p *Pipeline) passed(s *ffSeg, k int, now float64) int {
+	first, last := s.end-s.n, s.end-1
+	if s.units.Sum == nil {
+		for k < last && p.sc.times[s.toff+k-first] <= now {
+			k++
+		}
+		return k
+	}
+	// Boundary j has passed iff K_j ≤ (now − start)/u, which is exact:
+	// start ≤ now ≤ stop lie in one binade. K_j grows with j, so the first
+	// unpassed boundary is found by bisection.
+	q := math.Floor((now - s.start) / s.u)
+	for hi := last; k < hi; {
+		mid := int(uint(k+hi) >> 1)
+		if kj, _ := unitsAfter(s.units, s.la, s.ld, mid-first+1, math.MaxInt64); float64(kj) > q {
+			hi = mid
+		} else {
+			k = mid + 1
+		}
+	}
+	return k
 }
 
 // commitThrough applies boundaries ffDone..k-1: one committed token per
@@ -755,14 +869,15 @@ func (p *Pipeline) Interrupt() {
 	}
 	p.sync()
 	next := p.ffDone
-	if next >= p.sc.segs[p.ffCur].end-1 {
+	s := &p.sc.segs[p.ffCur]
+	if next >= s.end-1 {
 		// Only the segment's final boundary remains and its event is
 		// already scheduled at the correct time; completeIteration will
 		// consult the hooks there.
 		return
 	}
 	p.iterEv.Cancel()
-	t := p.sc.times[next]
+	t := p.boundary(s, next-(s.end-s.n)+1)
 	p.endFastForward()
 	p.invalidateSpan()
 	p.iterEnd = t

@@ -52,7 +52,7 @@ func (nopListener) PreemptionNotice(*cloud.Instance, float64) {}
 func (nopListener) InstanceTerminated(*cloud.Instance)        {}
 
 // newFixture builds an engine over nInst 4-GPU instances for spec.
-func newFixture(t *testing.T, spec model.Spec, nInst int) *fixture {
+func newFixture(t testing.TB, spec model.Spec, nInst int) *fixture {
 	t.Helper()
 	s := sim.New()
 	cl := cloud.New(s, cloud.DefaultParams(), nopListener{})

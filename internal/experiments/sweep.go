@@ -5,7 +5,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"hash"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -388,44 +390,75 @@ func (r Replication) Replicated() bool { return r.Avg.N > 1 }
 // series and the configuration log. Two runs are byte-identical iff their
 // fingerprints match, which is how the determinism tests compare the
 // parallel sweep against the serial path.
+//
+// The digest material streams into SHA-256 through one reused buffer;
+// floats are written as strconv's 'x' form, the same bytes as fmt's %x.
 func (r Result) Fingerprint() string {
-	var b strings.Builder
+	w := fpWriter{h: sha256.New(), buf: make([]byte, 0, fpBufSize)}
 	sc := r.Scenario
-	fmt.Fprintf(&b, "sys=%s spec=%s trace=%s odn=%d rate=%g cv=%g mix=%v drain=%g seed=%d\n",
+	w.buf = fmt.Appendf(w.buf, "sys=%s spec=%s trace=%s odn=%d rate=%g cv=%g mix=%v drain=%g seed=%d\n",
 		sc.System, sc.Spec.Name, sc.Trace.Name, sc.OnDemandN, sc.Rate, sc.CV, //detlint:allow fpdigest — Rate/CV are scenario INPUTS, never computed, so shortest-%g cannot drift; the bytes are pinned by the committed goldens
 		sc.AllowOnDemand, sc.Drain, sc.Seed) //detlint:allow fpdigest — Drain is a scenario input constant; %g bytes are golden-pinned
 	if sc.Features != nil {
-		fmt.Fprintf(&b, "features=%+v\n", *sc.Features)
+		w.buf = fmt.Appendf(w.buf, "features=%+v\n", *sc.Features)
 	}
 	// Scenario-library axes are fingerprinted only when set, keeping the
 	// historical digests of the fixed paper scenarios byte-identical.
 	if sc.AvailModel != "" || sc.Fleet != "" || sc.Policy != "" || sc.Market != "" {
-		fmt.Fprintf(&b, "avail=%s fleet=%s policy=%s market=%s\n",
+		w.buf = fmt.Appendf(w.buf, "avail=%s fleet=%s policy=%s market=%s\n",
 			sc.AvailModel, sc.Fleet, sc.Policy, sc.Market)
 	}
 	st := r.Stats
-	fmt.Fprintf(&b, "sub=%d done=%d cost=%x lat=%+v mig=%d rel=%d give=%d rec=%d od=%d\n",
+	w.buf = fmt.Appendf(w.buf, "sub=%d done=%d cost=%x lat=%+v mig=%d rel=%d give=%d rec=%d od=%d\n",
 		st.Submitted, st.Completed, st.CostUSD, st.Latency,
 		st.Migrations, st.Reloads, st.CacheGiveUps, st.TokensRecovered, st.OnDemandAllocated)
 	if st.Latencies != nil {
 		for _, v := range st.Latencies.Values() {
-			fmt.Fprintf(&b, "%x ", v)
+			w.buf = append(strconv.AppendFloat(w.buf, v, 'x', -1, 64), ' ')
+			w.spill()
 		}
-		b.WriteString("\n")
+		w.buf = append(w.buf, '\n')
 	}
-	for _, s := range st.PerRequest.Samples {
-		fmt.Fprintf(&b, "pr %x %x\n", s.At, s.Value)
-	}
+	w.samples("pr", st.PerRequest.Samples)
 	for _, c := range st.ConfigLog {
-		fmt.Fprintf(&b, "cfg %x %v %s\n", c.At, c.Config, c.Reason)
+		w.buf = fmt.Appendf(w.buf, "cfg %x %v %s\n", c.At, c.Config, c.Reason)
+		w.spill()
 	}
-	for _, s := range r.SpotCount.Samples {
-		fmt.Fprintf(&b, "spot %x %x\n", s.At, s.Value)
+	w.samples("spot", r.SpotCount.Samples)
+	w.samples("od", r.OnDemandCount.Samples)
+	w.buf = fmt.Appendf(w.buf, "final=%v\n", r.FinalConfig)
+	w.h.Write(w.buf)
+	return hex.EncodeToString(w.h.Sum(w.buf[:0]))
+}
+
+// fpBufSize is Fingerprint's buffer: it is handed to the hash whenever it
+// holds more than fpBufSize-fpLineMax bytes, so the sampled lines between
+// spills never grow it.
+const (
+	fpBufSize = 4096
+	fpLineMax = 256
+)
+
+// fpWriter streams Fingerprint's digest material into a hash.
+type fpWriter struct {
+	h   hash.Hash
+	buf []byte
+}
+
+// spill hands the buffer to the hash once it nears its capacity.
+func (w *fpWriter) spill() {
+	if len(w.buf) > fpBufSize-fpLineMax {
+		w.h.Write(w.buf)
+		w.buf = w.buf[:0]
 	}
-	for _, s := range r.OnDemandCount.Samples {
-		fmt.Fprintf(&b, "od %x %x\n", s.At, s.Value)
+}
+
+// samples writes one "<tag> <at> <value>" line per sample, floats in %x form.
+func (w *fpWriter) samples(tag string, ss []metrics.Sample) {
+	for _, s := range ss {
+		w.buf = append(append(w.buf, tag...), ' ')
+		w.buf = append(strconv.AppendFloat(w.buf, s.At, 'x', -1, 64), ' ')
+		w.buf = append(strconv.AppendFloat(w.buf, s.Value, 'x', -1, 64), '\n')
+		w.spill()
 	}
-	fmt.Fprintf(&b, "final=%v\n", r.FinalConfig)
-	sum := sha256.Sum256([]byte(b.String()))
-	return hex.EncodeToString(sum[:])
 }
